@@ -12,8 +12,6 @@ import (
 	"leishen/internal/eval"
 	"leishen/internal/simplify"
 	"leishen/internal/tagging"
-	"leishen/internal/trace"
-	"leishen/internal/trades"
 	"leishen/internal/uint256"
 	"leishen/internal/world"
 )
@@ -244,54 +242,6 @@ func BenchmarkDetectionLatencyAttackTx(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !det.Inspect(res.Receipt).IsAttack {
 			b.Fatal("detection regressed")
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Pipeline stage benches: where the per-transaction budget goes.
-// ---------------------------------------------------------------------
-
-func BenchmarkStageExtract(b *testing.B) {
-	res := benchHarvest(b)
-	ex := trace.NewExtractor(res.Env.Registry)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if len(ex.Extract(res.Receipt)) == 0 {
-			b.Fatal("no transfers")
-		}
-	}
-}
-
-func BenchmarkStageTagAndSimplify(b *testing.B) {
-	res := benchHarvest(b)
-	ex := trace.NewExtractor(res.Env.Registry)
-	tg := tagging.New(res.Env.Chain)
-	transfers := ex.Extract(res.Receipt)
-	opts := simplify.Options{WETH: res.Env.WETH}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tagged := tg.TagTransfers(transfers)
-		if len(simplify.Simplify(tagged, opts)) == 0 {
-			b.Fatal("no app transfers")
-		}
-	}
-}
-
-func BenchmarkStageTradesAndMatch(b *testing.B) {
-	res := benchHarvest(b)
-	ex := trace.NewExtractor(res.Env.Registry)
-	tg := tagging.New(res.Env.Chain)
-	appTransfers := simplify.Simplify(tg.TagTransfers(ex.Extract(res.Receipt)), simplify.Options{WETH: res.Env.WETH})
-	borrower := tg.Tag(res.AttackContract)
-	th := core.DefaultThresholds()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		list := trades.Identify(appTransfers)
-		if len(core.MatchPatterns(list, borrower, th)) == 0 {
-			b.Fatal("no match")
 		}
 	}
 }

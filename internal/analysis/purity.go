@@ -15,6 +15,8 @@ var purePackagePrefixes = []string{
 	"leishen/internal/trades",
 	"leishen/internal/simplify",
 	"leishen/internal/tagging",
+	"leishen/internal/trace",
+	"leishen/internal/flashloan",
 }
 
 // pureMarker opts additional packages into purity enforcement via a
@@ -23,7 +25,8 @@ const pureMarker = "leishen:pure"
 
 // Purity flags ambient-state reads inside pure pipeline packages
 // (internal/core, internal/trades, internal/simplify, internal/tagging,
-// and any package carrying a "leishen:pure" comment):
+// internal/trace, internal/flashloan, and any package carrying a
+// "leishen:pure" comment):
 //
 //   - time.Now / time.Since / time.Until — wall-clock reads; inject a
 //     clock function instead (storing the time.Now function value for

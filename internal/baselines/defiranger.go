@@ -26,12 +26,20 @@ import (
 // DeFiRanger detects price manipulation on account-level transfers.
 type DeFiRanger struct {
 	extractor *trace.Extractor
-	weth      types.Token
+	interner  *trace.Interner
+	weth      types.Address
+	wethToken types.TokenID
 }
 
 // NewDeFiRanger builds the baseline over a token resolver.
 func NewDeFiRanger(tokens trace.TokenResolver, weth types.Token) *DeFiRanger {
-	return &DeFiRanger{extractor: trace.NewExtractor(tokens), weth: weth}
+	in := trace.NewInterner(tokens)
+	return &DeFiRanger{
+		extractor: trace.NewExtractor(tokens),
+		interner:  in,
+		weth:      weth.Address,
+		wethToken: in.IDOf(weth.Address),
+	}
 }
 
 // Detect reports whether the transaction contains a profitable
@@ -42,35 +50,38 @@ func (d *DeFiRanger) Detect(r *evm.Receipt) bool {
 	if len(loans) == 0 {
 		return false
 	}
-	transfers := d.extractor.Extract(r)
 
-	// Account-level lifting: identity tags, WETH unified with ETH and
-	// wrap/unwrap legs against the WETH contract dropped (DeFiRanger
-	// understands WETH), but no application tagging and no merging.
-	var lifted []types.AppTransfer
+	// Account-level lifting: every account is its own party (one
+	// identity tag id per address; NoTagID is never issued, so every
+	// account can anchor a trade), WETH unified with ETH and wrap/unwrap
+	// legs against the WETH contract dropped (DeFiRanger understands
+	// WETH), but no application tagging and no merging.
+	party := make(map[types.Address]types.TagID)
+	idOf := func(a types.Address) types.TagID {
+		id, ok := party[a]
+		if !ok {
+			id = types.TagID(len(party) + 1)
+			party[a] = id
+		}
+		return id
+	}
+	transfers := d.extractor.ExtractInterned(nil, d.interner, r)
+	lifted := transfers[:0]
 	for _, t := range transfers {
-		if t.Sender == d.weth.Address || t.Receiver == d.weth.Address {
+		if t.Sender == d.weth || t.Receiver == d.weth {
 			continue
 		}
-		tok := t.Token
-		if tok.Address == d.weth.Address {
-			tok = types.ETH
+		if t.Token == d.wethToken {
+			t.Token = types.ETHTokenID
 		}
-		lifted = append(lifted, types.AppTransfer{
-			Seq:           t.Seq,
-			Sender:        types.RootTag(t.Sender),
-			Receiver:      types.RootTag(t.Receiver),
-			FromBlackHole: t.Sender.IsZero(),
-			ToBlackHole:   t.Receiver.IsZero(),
-			Amount:        t.Amount,
-			Token:         tok,
-		})
+		t.SenderTag, t.ReceiverTag = idOf(t.Sender), idOf(t.Receiver)
+		t.FromBlackHole, t.ToBlackHole = t.Sender.IsZero(), t.Receiver.IsZero()
+		lifted = append(lifted, t)
 	}
-	tradeList := trades.Identify(lifted)
+	tradeList := trades.IdentifyInterned(nil, lifted)
 
 	for _, loan := range loans {
-		borrower := types.RootTag(loan.Borrower)
-		if d.profitableRound(tradeList, borrower) {
+		if borrower, ok := party[loan.Borrower]; ok && profitableRound(tradeList, borrower) {
 			return true
 		}
 	}
@@ -80,16 +91,13 @@ func (d *DeFiRanger) Detect(r *evm.Receipt) bool {
 // profitableRound looks for buy trade b and later sell trade s of the
 // same token, by the borrower, against the same counterparty account,
 // with sell rate above buy rate.
-func (d *DeFiRanger) profitableRound(list []types.Trade, borrower types.Tag) bool {
+func profitableRound(list []types.ITrade, borrower types.TagID) bool {
 	for i, b := range list {
 		if b.Buyer != borrower {
 			continue
 		}
 		for _, s := range list[i+1:] {
-			if s.Buyer != borrower || s.Seller != b.Seller {
-				continue
-			}
-			if !sameToken(s.TokenSell, b.TokenBuy) {
+			if s.Buyer != borrower || s.Seller != b.Seller || s.TokenSell != b.TokenBuy {
 				continue
 			}
 			// buyRate = b.AmountSell/b.AmountBuy < sellRate = s.AmountBuy/s.AmountSell
@@ -99,8 +107,4 @@ func (d *DeFiRanger) profitableRound(list []types.Trade, borrower types.Tag) boo
 		}
 	}
 	return false
-}
-
-func sameToken(a, b types.Token) bool {
-	return a.Address == b.Address && a.IsETH() == b.IsETH()
 }

@@ -68,7 +68,7 @@ func (s *slab[T]) saveOne(v T) *T {
 // their data (slab regions are never rewritten), so they remain valid
 // after any number of further calls with the same arena.
 type Arena struct {
-	// Interned pipeline intermediates.
+	// Pipeline intermediates.
 	fl      flashloan.Scratch
 	it      []types.ITransfer
 	isimp   simplify.IScratch
@@ -106,30 +106,6 @@ type Arena struct {
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
-
-// Reset discards intermediate buffer contents, keeping capacity. Slabs
-// are not reset — their contents belong to already-returned reports.
-// InspectScratch resets each intermediate at its point of use, so
-// calling Reset between transactions is not required; it exists for
-// callers that want to drop per-transaction state eagerly.
-func (a *Arena) Reset() {
-	a.it = a.it[:0]
-	a.isimp.Reset()
-	a.itrades = a.itrades[:0]
-	a.targets = a.targets[:0]
-	a.run = a.run[:0]
-	a.mbs = a.mbs[:0]
-	a.involvedBuf = a.involvedBuf[:0]
-	a.imatches = a.imatches[:0]
-	a.btags = a.btags[:0]
-}
-
-// Scratch is the historical name of the per-worker pipeline buffer; the
-// consolidated Arena replaced it and keeps the old name working.
-type Scratch = Arena
-
-// NewScratch returns an empty scratch (alias of NewArena).
-func NewScratch() *Arena { return NewArena() }
 
 // DetailInto renders a report's Detail text into the arena's reused
 // buffer and returns the bytes, valid until the next DetailInto call

@@ -187,10 +187,10 @@ func (d *Detector) Inspect(r *evm.Receipt) *Report {
 // calls with the same arena.
 //
 // The pipeline runs on interned tuples throughout (tag and token
-// identities as integer ids) and resolves ids back to the full structs
-// only here, at report materialization; the interned matchers mirror
-// the reference implementation decision for decision, so reports are
-// byte-identical to the string pipeline's.
+// identities as integer ids) and resolves ids back to the full Tag and
+// Token values only at report materialization. TestPipelineGolden pins
+// the resulting reports, JSON and Detail text, over a generated corpus
+// and the Table I attacks.
 func (d *Detector) InspectScratch(r *evm.Receipt, s *Arena) *Report {
 	if s == nil {
 		s = NewArena()
@@ -317,15 +317,6 @@ func (d *Detector) materializeTrade(s *Arena, t *types.ITrade) types.Trade {
 		out.SecondarySell = s.legSlab.saveOne(types.TradeLeg{Amount: t.Secondary.Amount, Token: d.interner.Token(t.Secondary.Token)})
 	}
 	return out
-}
-
-func containsTag(tags []types.Tag, tag types.Tag) bool {
-	for _, t := range tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
 }
 
 func (d *Detector) borrowersAreAggregators(tags []types.Tag) bool {

@@ -124,6 +124,31 @@ func TestKRPRequiresRisingPrice(t *testing.T) {
 	}
 }
 
+// TestKRPRunSurvivesEarlySell pins a documented condition of KRP: a
+// sell that arrives before the run reaches KRPMinBuys does not end the
+// run, so later rising buys extend it and a later sell completes it.
+func TestKRPRunSurvivesEarlySell(t *testing.T) {
+	trades := []types.Trade{
+		buy(victim, 20, 5200),
+		buy(victim, 20, 4600),
+		buy(victim, 20, 4000),
+		sell(victim, 100, 1), // too early: the run has 3 buys
+		buy(victim, 20, 3400),
+		buy(victim, 20, 2800),
+		sell(victim2, 20000, 124),
+	}
+	for _, m := range MatchPatterns(trades, borrower, DefaultThresholds()) {
+		if m.Kind != PatternKRP {
+			continue
+		}
+		if m.Rounds != 5 || len(m.Trades) != 6 || m.Trades[5] != trades[6] {
+			t.Fatalf("match = %+v, want the 5 buys and the last sell", m)
+		}
+		return
+	}
+	t.Fatal("KRP not detected across an early sell")
+}
+
 func TestSBSDetected(t *testing.T) {
 	// bZx-1 shape: borrower buys 112 WBTC for 5500 ETH, victim pumps
 	// (buys at a much higher rate), borrower sells the same 112 WBTC.
@@ -239,6 +264,32 @@ func TestMBSRequiresThreeProfitableRounds(t *testing.T) {
 	}
 }
 
+// TestMBSFirstSellerWins pins a documented condition of MBS: the winner
+// is the first seller, in order of first buy, whose rounds reach the
+// threshold, even when a later seller has more rounds.
+func TestMBSFirstSellerWins(t *testing.T) {
+	trades := []types.Trade{
+		buy(victim, 10, 100),
+		buy(victim2, 10, 100), sell(victim2, 100, 11),
+		sell(victim, 100, 11),
+		buy(victim2, 10, 100), sell(victim2, 100, 11),
+		buy(victim, 10, 100), sell(victim, 100, 11),
+		buy(victim2, 10, 100), sell(victim2, 100, 11),
+		buy(victim, 10, 100), sell(victim, 100, 11),
+		buy(victim2, 10, 100), sell(victim2, 100, 11),
+	}
+	for _, m := range MatchPatterns(trades, borrower, DefaultThresholds()) {
+		if m.Kind != PatternMBS {
+			continue
+		}
+		if m.Counterparty != victim || m.Rounds != 3 || len(m.Trades) != 6 {
+			t.Fatalf("match = %+v, want victim's 3 rounds", m)
+		}
+		return
+	}
+	t.Fatal("MBS not detected")
+}
+
 func TestMBSRequiresSameSeller(t *testing.T) {
 	other := types.AppTag("Sushi")
 	trades := []types.Trade{
@@ -279,11 +330,20 @@ func TestVolatilityFormula(t *testing.T) {
 		buy(victim, 38, 10000),
 		buy(victim, 90, 10000),
 	}
-	got := tradeVolatilityPct(trades, susdT)
+	var ids types.IDSpace
+	var itrades []types.ITrade
+	for _, tr := range trades {
+		itrades = append(itrades, types.ITrade{
+			Kind: tr.Kind, Buyer: ids.TagID(tr.Buyer), Seller: ids.TagID(tr.Seller),
+			AmountSell: tr.AmountSell, TokenSell: ids.TokenID(tr.TokenSell),
+			AmountBuy: tr.AmountBuy, TokenBuy: ids.TokenID(tr.TokenBuy),
+		})
+	}
+	got := tradeVolatilityPctI(itrades, ids.TokenID(susdT))
 	if got < 130 || got > 142 {
 		t.Errorf("volatility = %f, want ~136", got)
 	}
-	if v := tradeVolatilityPct(nil, susdT); v != 0 {
+	if v := tradeVolatilityPctI(nil, ids.TokenID(susdT)); v != 0 {
 		t.Errorf("empty volatility = %f", v)
 	}
 }

@@ -64,30 +64,11 @@ type Loan struct {
 
 // Identify scans a receipt for flash loans from all three providers. A
 // transaction may contain several (seven of the 44 studied attacks
-// borrowed from more than one provider at once).
-//
-// The marker pre-scan makes the non-flash-loan majority allocation-free:
-// a receipt with no provider marker returns nil without building any
-// intermediate state, which is what keeps corpus scanning cheap.
+// borrowed from more than one provider at once). It is IdentifyScratch
+// over a fresh Scratch, so the returned slice is the caller's own.
 func Identify(r *evm.Receipt) []Loan {
-	if r == nil || !r.Success {
-		return nil
-	}
-	uniswap, aave, dydx := markers(r)
-	if !uniswap && !aave && !dydx {
-		return nil
-	}
-	var loans []Loan
-	if uniswap {
-		loans = identifyUniswapInto(loans, r)
-	}
-	if aave {
-		loans = identifyAaveInto(loans, r)
-	}
-	if dydx {
-		loans = append(loans, identifyDydx(r)...)
-	}
-	return loans
+	var s Scratch
+	return IdentifyScratch(r, &s)
 }
 
 // markers reports, without allocating, which providers' entry markers
@@ -175,53 +156,6 @@ func identifyAaveInto(loans []Loan, r *evm.Receipt) []Loan {
 			Amount:   lg.Amounts[0],
 			Seq:      lg.Seq,
 		})
-	}
-	return loans
-}
-
-// identifyDydx matches the LogOperation / LogWithdraw / LogCall /
-// LogDeposit sequence emitted by the same solo-margin contract.
-func identifyDydx(r *evm.Receipt) []Loan {
-	// Group the four log kinds by emitting contract, in order.
-	type pending struct {
-		withdraw *evm.Log
-		sawCall  bool
-	}
-	state := make(map[types.Address]*pending)
-	var loans []Loan
-	for i := range r.Logs {
-		lg := &r.Logs[i]
-		switch lg.Event {
-		case "LogOperation":
-			state[lg.Address] = &pending{}
-		case "LogWithdraw":
-			if p, ok := state[lg.Address]; ok {
-				p.withdraw = lg
-				p.sawCall = false
-			}
-		case "LogCall":
-			if p, ok := state[lg.Address]; ok && p.withdraw != nil {
-				p.sawCall = true
-			}
-		case "LogDeposit":
-			p, ok := state[lg.Address]
-			if !ok || p.withdraw == nil || !p.sawCall {
-				continue
-			}
-			w := p.withdraw
-			if len(w.Addrs) >= 2 && len(w.Amounts) >= 1 {
-				loans = append(loans, Loan{
-					Provider: ProviderDydx,
-					Lender:   lg.Address,
-					Borrower: w.Addrs[0],
-					Token:    w.Addrs[1],
-					Amount:   w.Amounts[0],
-					Seq:      w.Seq,
-				})
-			}
-			p.withdraw = nil
-			p.sawCall = false
-		}
 	}
 	return loans
 }

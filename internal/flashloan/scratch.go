@@ -15,21 +15,22 @@ type Scratch struct {
 	states []dydxState
 }
 
-// dydxState is the linear-scan replacement for identifyDydx's
-// per-contract map: transactions touch at most a handful of solo-margin
-// contracts, so a slice searched linearly beats a map that must be
-// allocated per call. withdraw is an index into r.Logs (-1 when unset)
-// rather than a pointer so a reused scratch never retains receipt
-// memory across transactions.
+// dydxState tracks one solo-margin contract's pending operation.
+// Transactions touch at most a handful of solo-margin contracts, so a
+// slice searched linearly beats a map that must be allocated per call.
+// withdraw is an index into r.Logs (-1 when unset) rather than a pointer
+// so a reused scratch never retains receipt memory across transactions.
 type dydxState struct {
 	addr     types.Address
 	withdraw int
 	sawCall  bool
 }
 
-// IdentifyScratch is Identify with caller-owned working buffers. The
-// marker pre-scan keeps the non-flash-loan majority allocation-free,
-// exactly like Identify.
+// IdentifyScratch scans a receipt for flash loans from all three
+// providers, using caller-owned working buffers. The marker pre-scan
+// makes the non-flash-loan majority allocation-free: a receipt with no
+// provider marker returns nil without touching the scratch, which is
+// what keeps corpus scanning cheap.
 func IdentifyScratch(r *evm.Receipt, s *Scratch) []Loan {
 	if r == nil || !r.Success {
 		return nil
@@ -51,9 +52,12 @@ func IdentifyScratch(r *evm.Receipt, s *Scratch) []Loan {
 	return s.loans
 }
 
-// identifyDydxScratch mirrors identifyDydx over the scratch's linear
-// state table. Loans are emitted in log order — the same order the map
-// version produces, since emission is driven by LogDeposit positions.
+// identifyDydxScratch matches the LogOperation / LogWithdraw / LogCall /
+// LogDeposit sequence emitted by the same solo-margin contract,
+// appending one loan per completed sequence in LogDeposit order. A
+// LogOperation opens (or reopens) the contract's sequence, a
+// LogWithdraw records the borrowed leg, and a LogDeposit after a
+// LogCall closes it; out-of-order or incomplete sequences yield nothing.
 func identifyDydxScratch(loans []Loan, r *evm.Receipt, s *Scratch) []Loan {
 	s.states = s.states[:0]
 	find := func(addr types.Address) *dydxState {

@@ -9,6 +9,9 @@
 //     same amount of the same token through an intermediary collapse into
 //     one transfer that names the true counterparties (aggregators charge
 //     <0.1%, the paper's tolerance).
+//
+// Transfers are the interned tuples of types.ITransfer: tags and tokens
+// are integer ids, so every rule check compares integers.
 package simplify
 
 import (
@@ -48,116 +51,112 @@ func (o Options) tolerance() uint64 {
 	return o.MergeToleranceBps
 }
 
-// Scratch holds the working buffers of one simplification run so
-// steady-state scanning reuses them instead of reallocating per
-// transaction. The zero value is ready to use. A Scratch is not safe for
-// concurrent use; give each goroutine its own.
-type Scratch struct {
-	a, b []types.AppTransfer
+// InternedRules is the id-resolved form of Options: the detector
+// resolves the directed tag and token once per configuration, so the
+// per-transfer rule checks compare ids instead of strings.
+type InternedRules struct {
+	// WETHTag is the id of the Wrapped Ether application tag;
+	// InvalidTagID when the WETH rule is disabled or no account carries
+	// the tag (then rule 2a matches nothing).
+	WETHTag types.TagID
+	// WETHToken is the id of the Wrapped Ether token to unify with ETH;
+	// InvalidTokenID disables rule 2b's unification.
+	WETHToken types.TokenID
+	// ToleranceBps is the resolved merge tolerance.
+	ToleranceBps uint64
+	// DisableIntraAppRule / DisableMergeRule switch rules 1 and 3 off,
+	// as in Options.
+	DisableIntraAppRule bool
+	DisableMergeRule    bool
 }
 
-// Reset discards the buffer contents, keeping capacity.
-func (s *Scratch) Reset() {
-	s.a, s.b = s.a[:0], s.b[:0]
+// IScratch holds the ping-pong buffers of SimplifyInterned.
+// The zero value is ready to use; not safe for concurrent use.
+type IScratch struct {
+	A, B []types.ITransfer
 }
 
-// Simplify applies the three rules in order and returns application-level
-// transfers in a freshly allocated slice.
-func Simplify(transfers []types.TaggedTransfer, opts Options) []types.AppTransfer {
-	var s Scratch
-	res := SimplifyScratch(transfers, opts, &s)
-	out := make([]types.AppTransfer, len(res))
-	copy(out, res)
-	return out
+// Reset discards buffer contents, keeping capacity.
+func (s *IScratch) Reset() {
+	s.A, s.B = s.A[:0], s.B[:0]
 }
 
-// SimplifyScratch is Simplify over caller-owned working buffers. The
-// returned slice aliases the scratch and is only valid until the next
-// call with the same Scratch; copy it out if it must be retained.
-func SimplifyScratch(transfers []types.TaggedTransfer, opts Options, s *Scratch) []types.AppTransfer {
+// SimplifyInterned applies the three §V-B2 rules in order to tagged
+// transfers (Sender/Receiver and SenderTag/ReceiverTag set) and returns
+// the application-level transfers: tags plus BlackHole flags, with the
+// raw addresses of merged entries no longer meaningful. The returned
+// slice aliases the scratch and is only valid until the next call with
+// the same scratch.
+func SimplifyInterned(transfers []types.ITransfer, r InternedRules, s *IScratch) []types.ITransfer {
 	s.Reset()
-	out := slices.Grow(s.a, len(transfers))
+	out := slices.Grow(s.A, len(transfers))
 	for _, tt := range transfers {
 		// Rule 2a: drop transfers touching the Wrapped Ether contract.
-		if !opts.DisableWETHRule && (isWETHTag(tt.SenderTag) || isWETHTag(tt.ReceiverTag)) {
+		if tt.SenderTag == r.WETHTag || tt.ReceiverTag == r.WETHTag {
 			continue
 		}
-		tok := tt.Token
+		at := tt
 		// Rule 2b: unify WETH with ETH.
-		if !opts.DisableWETHRule && !opts.WETH.Address.IsZero() && tok.Address == opts.WETH.Address {
-			tok = types.ETH
+		if at.Token == r.WETHToken {
+			at.Token = types.ETHTokenID
 		}
-		at := types.AppTransfer{
-			Seq:           tt.Seq,
-			Sender:        tt.SenderTag,
-			Receiver:      tt.ReceiverTag,
-			FromBlackHole: tt.Sender.IsZero(),
-			ToBlackHole:   tt.Receiver.IsZero(),
-			Amount:        tt.Amount,
-			Token:         tok,
-		}
+		at.FromBlackHole = tt.Sender.IsZero()
+		at.ToBlackHole = tt.Receiver.IsZero()
 		// Rule 1: drop intra-app transfers. Mints and burns are kept even
 		// when tags coincide — the BlackHole is not an application.
-		if !opts.DisableIntraAppRule &&
+		if !r.DisableIntraAppRule &&
 			!at.FromBlackHole && !at.ToBlackHole &&
-			sameParty(at.Sender, at.Receiver) {
+			samePartyID(at.SenderTag, at.ReceiverTag) {
 			continue
 		}
 		out = append(out, at)
 	}
-	s.a = out
-	if opts.DisableMergeRule {
+	s.A = out
+	if r.DisableMergeRule {
 		return out
 	}
-	// Rule 3: merge inter-app transfers to fixpoint (profits are laundered
-	// through multi-level intermediaries, §VI-D2). The passes ping-pong
-	// between the two scratch buffers instead of allocating per pass.
-	spare := s.b
+	// Rule 3: merge inter-app transfers to fixpoint (profits are
+	// laundered through multi-level intermediaries, §VI-D2). The passes
+	// ping-pong between the two scratch buffers instead of allocating
+	// per pass.
+	spare := s.B
 	for {
-		merged, changed := mergeInto(spare[:0], out, opts.tolerance())
+		merged, changed := mergeIntoInterned(spare[:0], out, r.ToleranceBps)
 		out, spare = merged, out
-		s.a, s.b = out, spare
+		s.A, s.B = out, spare
 		if !changed {
 			return out
 		}
 	}
 }
 
-func isWETHTag(tag types.Tag) bool {
-	return tag.Kind == types.TagApp && tag.Name == WETHAppName
+// samePartyID reports whether two tags denote the same application or
+// the same unlabeled creation tree. Untaggable accounts (NoTagID) never
+// match anything: with conflicting labels there is no evidence the
+// parties coincide.
+func samePartyID(a, b types.TagID) bool {
+	return a != types.NoTagID && a == b
 }
 
-// sameParty reports whether two tags denote the same application or the
-// same unlabeled creation tree. Untaggable accounts never match anything:
-// with conflicting labels there is no evidence the parties coincide.
-func sameParty(a, b types.Tag) bool {
-	if a.IsNone() || b.IsNone() {
-		return false
-	}
-	return a == b
-}
-
-// mergeInto performs one left-to-right pass of the merge rule, appending
-// the result to out (pass a recycled buffer's [:0] to avoid allocating).
-func mergeInto(out, ts []types.AppTransfer, tolBps uint64) ([]types.AppTransfer, bool) {
+// mergeIntoInterned performs one left-to-right pass of the merge rule,
+// appending the result to out (pass a recycled buffer's [:0] to avoid
+// allocating).
+func mergeIntoInterned(out, ts []types.ITransfer, tolBps uint64) ([]types.ITransfer, bool) {
 	if len(ts) < 2 {
 		return append(out, ts...), false
 	}
 	changed := false
 	for i := 0; i < len(ts); i++ {
-		if i+1 < len(ts) && mergeable(ts[i], ts[i+1], tolBps) {
-			a, b := ts[i], ts[i+1]
-			out = append(out, types.AppTransfer{
-				Seq:           a.Seq,
-				Sender:        a.Sender,
-				Receiver:      b.Receiver,
-				FromBlackHole: a.FromBlackHole,
-				ToBlackHole:   b.ToBlackHole,
-				// The receiving side's amount is what actually arrived at
-				// the true counterparty.
-				Amount: b.Amount,
-				Token:  a.Token,
-			})
+		if i+1 < len(ts) && mergeableInterned(&ts[i], &ts[i+1], tolBps) {
+			a, b := &ts[i], &ts[i+1]
+			m := *a
+			m.ReceiverTag = b.ReceiverTag
+			m.Receiver = b.Receiver
+			m.ToBlackHole = b.ToBlackHole
+			// The receiving side's amount is what actually arrived at
+			// the true counterparty.
+			m.Amount = b.Amount
+			out = append(out, m)
 			i++ // consume both
 			changed = true
 			continue
@@ -167,33 +166,44 @@ func mergeInto(out, ts []types.AppTransfer, tolBps uint64) ([]types.AppTransfer,
 	return out, changed
 }
 
-// mergeable implements the paper's condition: same token, ~same amount,
-// and the first receiver is the second sender (the intermediary). Merging
-// a transfer back to its own origin (A→B→A) is a round trip, not a
-// forwarding, and is excluded; so are mint/burn legs.
-func mergeable(a, b types.AppTransfer, tolBps uint64) bool {
-	if a.Token.Address != b.Token.Address || a.Token.IsETH() != b.Token.IsETH() {
+// mergeableInterned implements the paper's condition: same token, ~same
+// amount, and the first receiver is the second sender (the
+// intermediary). Merging a transfer back to its own origin (A→B→A) is a
+// round trip, not a forwarding, and is excluded; so are mint/burn legs.
+func mergeableInterned(a, b *types.ITransfer, tolBps uint64) bool {
+	if a.Token != b.Token {
 		return false
 	}
 	if a.ToBlackHole || b.FromBlackHole {
 		return false
 	}
-	if !sameParty(a.Receiver, b.Sender) {
+	if !samePartyID(a.ReceiverTag, b.SenderTag) {
 		return false
 	}
-	if sameParty(a.Sender, b.Receiver) {
+	if samePartyID(a.SenderTag, b.ReceiverTag) {
 		return false // round trip, not an intermediary hop
 	}
-	return withinTolerance(a.Amount, b.Amount, tolBps)
+	return uint256.WithinBps(a.Amount, b.Amount, tolBps)
 }
 
-// withinTolerance reports |x-y| <= max(x,y) * tol.
-func withinTolerance(x, y uint256.Int, tolBps uint64) bool {
-	diff := x.AbsDiff(y)
-	hi := x
-	if y.Gt(x) {
-		hi = y
+// ResolveRules builds the interned rule set from Options given the two
+// id lookups (the detector passes the tagger's and interner's). A WETH
+// tag that no account carries leaves rule 2a with nothing to match.
+func ResolveRules(opts Options, tagID func(types.Tag) (types.TagID, bool), tokenID func(types.Address) types.TokenID) InternedRules {
+	r := InternedRules{
+		WETHTag:             types.InvalidTagID,
+		WETHToken:           types.InvalidTokenID,
+		ToleranceBps:        opts.tolerance(),
+		DisableIntraAppRule: opts.DisableIntraAppRule,
+		DisableMergeRule:    opts.DisableMergeRule,
 	}
-	bound := hi.MustMulDiv(uint256.FromUint64(tolBps), uint256.FromUint64(10_000))
-	return diff.Lte(bound)
+	if !opts.DisableWETHRule {
+		if id, ok := tagID(types.AppTag(WETHAppName)); ok {
+			r.WETHTag = id
+		}
+		if !opts.WETH.Address.IsZero() {
+			r.WETHToken = tokenID(opts.WETH.Address)
+		}
+	}
+	return r
 }

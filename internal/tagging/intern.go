@@ -16,8 +16,7 @@ import (
 // Id equality is Tag equality — the table never issues two ids for one
 // value — which is what lets the simplify/trades/match layers compare
 // interned ids instead of hashing tag strings. ResolveTag returns the
-// exact Tag value the string pipeline would have carried, so reports
-// materialized from ids are byte-identical.
+// Tag value behind an id, which is what reports carry.
 
 // intern is the Tagger's id table.
 type intern struct {
@@ -122,9 +121,9 @@ func (t *Tagger) IDOfTag(tag types.Tag) (types.TagID, bool) {
 	return id, ok
 }
 
-// TagTransferIDs fills the interned tag fields of transfers in place —
-// the interned counterpart of TagTransfersInto, operating on the
-// extraction buffer directly instead of copying into a second slice.
+// TagTransferIDs annotates account-level transfers with their parties'
+// tag ids in place, producing the tagT_i tuples of §V-B1 inside the
+// extraction buffer instead of copying into a second slice.
 func (t *Tagger) TagTransferIDs(transfers []types.ITransfer) {
 	for i := range transfers {
 		transfers[i].SenderTag = t.TagIDOf(transfers[i].Sender)

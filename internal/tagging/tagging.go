@@ -14,7 +14,6 @@
 package tagging
 
 import (
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -206,31 +205,6 @@ func (t *Tagger) Root(addr types.Address) types.Address {
 		return r
 	}
 	return addr
-}
-
-// TagTransfers annotates account-level transfers with tags, producing the
-// tagT tuples of §V-B1.
-func (t *Tagger) TagTransfers(transfers []types.Transfer) []types.TaggedTransfer {
-	return t.TagTransfersInto(make([]types.TaggedTransfer, 0, len(transfers)), transfers)
-}
-
-// TagTransfersInto appends the tagged transfers to dst and returns the
-// grown slice — the reuse-a-scratch-buffer form of TagTransfers for
-// allocation-light scanning (pass dst[:0] to recycle a buffer).
-func (t *Tagger) TagTransfersInto(dst []types.TaggedTransfer, transfers []types.Transfer) []types.TaggedTransfer {
-	dst = slices.Grow(dst, len(transfers))
-	for _, tr := range transfers {
-		dst = append(dst, types.TaggedTransfer{
-			Seq:         tr.Seq,
-			Sender:      tr.Sender,
-			Receiver:    tr.Receiver,
-			SenderTag:   t.Tag(tr.Sender),
-			ReceiverTag: t.Tag(tr.Receiver),
-			Amount:      tr.Amount,
-			Token:       tr.Token,
-		})
-	}
-	return dst
 }
 
 // Stats summarizes a tagger's forest, mirroring the paper's study of

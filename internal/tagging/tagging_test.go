@@ -170,7 +170,7 @@ func TestTagTransfers(t *testing.T) {
 	in := []types.Transfer{
 		{Seq: 3, Sender: user, Receiver: uni, Amount: uint256.FromUint64(7), Token: tok},
 	}
-	out := tg.TagTransfers(in)
+	out := tagTransfers(tg, in)
 	if len(out) != 1 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -181,6 +181,32 @@ func TestTagTransfers(t *testing.T) {
 	if tt.Seq != 3 || tt.Amount.Uint64() != 7 {
 		t.Errorf("payload lost: %+v", tt)
 	}
+}
+
+// taggedTransfer is a tagged transfer with its tags resolved.
+type taggedTransfer struct {
+	Seq                    uint64
+	SenderTag, ReceiverTag types.Tag
+	Amount                 uint256.Int
+}
+
+// tagTransfers copies account-level transfers into interned tuples,
+// fills their tag ids with TagTransferIDs, and resolves the tags back.
+func tagTransfers(tg *Tagger, in []types.Transfer) []taggedTransfer {
+	its := make([]types.ITransfer, 0, len(in))
+	for _, tr := range in {
+		its = append(its, types.ITransfer{Seq: tr.Seq, Sender: tr.Sender, Receiver: tr.Receiver, Amount: tr.Amount})
+	}
+	tg.TagTransferIDs(its)
+	out := make([]taggedTransfer, 0, len(its))
+	for _, it := range its {
+		out = append(out, taggedTransfer{
+			Seq:       it.Seq,
+			SenderTag: tg.ResolveTag(it.SenderTag), ReceiverTag: tg.ResolveTag(it.ReceiverTag),
+			Amount: it.Amount,
+		})
+	}
+	return out
 }
 
 // Sibling subtrees under a labeled root both inherit the root's label even

@@ -23,6 +23,20 @@ var (
 	tok     = types.Token{Address: tokAddr, Symbol: "TKN", Decimals: 18}
 )
 
+// extract runs ExtractInterned through a fresh interner over the
+// extractor's resolver and resolves the token ids back.
+func extract(ex *Extractor, r *evm.Receipt) []types.Transfer {
+	in := NewInterner(ex.Tokens)
+	var out []types.Transfer
+	for _, t := range ex.ExtractInterned(nil, in, r) {
+		out = append(out, types.Transfer{
+			Seq: t.Seq, Sender: t.Sender, Receiver: t.Receiver,
+			Amount: t.Amount, Token: in.Token(t.Token),
+		})
+	}
+	return out
+}
+
 func TestExtractMergesStreamsBySeq(t *testing.T) {
 	r := &evm.Receipt{
 		Success: true,
@@ -39,7 +53,7 @@ func TestExtractMergesStreamsBySeq(t *testing.T) {
 		},
 	}
 	ex := NewExtractor(staticResolver{tokAddr: tok})
-	got := ex.Extract(r)
+	got := extract(ex, r)
 	if len(got) != 3 {
 		t.Fatalf("transfers = %v", got)
 	}
@@ -63,7 +77,7 @@ func TestExtractUnknownTokenSynthesized(t *testing.T) {
 				Addrs: []types.Address{alice, bob}, Amounts: []uint256.Int{uint256.FromUint64(5)}},
 		},
 	}
-	got := NewExtractor(staticResolver{}).Extract(r)
+	got := extract(NewExtractor(staticResolver{}), r)
 	if len(got) != 1 {
 		t.Fatalf("transfers = %v", got)
 	}
@@ -74,10 +88,10 @@ func TestExtractUnknownTokenSynthesized(t *testing.T) {
 
 func TestExtractFailedAndNil(t *testing.T) {
 	ex := NewExtractor(staticResolver{})
-	if got := ex.Extract(nil); got != nil {
+	if got := extract(ex, nil); got != nil {
 		t.Error("nil receipt")
 	}
-	if got := ex.Extract(&evm.Receipt{Success: false}); got != nil {
+	if got := extract(ex, &evm.Receipt{Success: false}); got != nil {
 		t.Error("failed receipt")
 	}
 }
@@ -91,7 +105,7 @@ func TestExtractMalformedLogsSkipped(t *testing.T) {
 			{Seq: 2, Address: tokAddr, Event: "Swap", Addrs: []types.Address{alice, bob}},     // not Transfer
 		},
 	}
-	if got := NewExtractor(staticResolver{tokAddr: tok}).Extract(r); len(got) != 0 {
+	if got := extract(NewExtractor(staticResolver{tokAddr: tok}), r); len(got) != 0 {
 		t.Errorf("transfers = %v", got)
 	}
 }

@@ -2,10 +2,8 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
-	"leishen/internal/evm"
 	"leishen/internal/types"
 )
 
@@ -15,10 +13,9 @@ import (
 // address is native ETH), so the interner is an address → id table
 // seeded with ETH at id 0 and extended lazily as contracts appear in
 // logs. Unknown contracts get their UNK-synthesized metadata exactly
-// once, here, instead of once per transfer; resolution returns the same
-// Token value the string pipeline would have synthesized, so reports
-// stay byte-identical. An Interner is safe for concurrent use: lookups
-// are lock-free sync.Map loads, issuance serializes on a mutex.
+// once, here, instead of once per transfer. An Interner is safe for
+// concurrent use: lookups are lock-free sync.Map loads, issuance
+// serializes on a mutex.
 type Interner struct {
 	under TokenResolver
 	mu    sync.Mutex
@@ -76,76 +73,4 @@ func (in *Interner) Token(id types.TokenID) types.Token {
 		return tok.(types.Token)
 	}
 	return types.Token{}
-}
-
-// ExtractInterned appends the transaction's transfers to dst in
-// happened-before order as interned tuples — the hot-path counterpart
-// of ExtractInto. The substrate records internal transactions and logs
-// each in ascending sequence order, so the two streams merge with two
-// pointers instead of a sort; a defensive sortedness check falls back
-// to the sort if a receipt ever violates that (the sequence counter is
-// unique per transaction, so any comparison sort yields one order).
-func (e *Extractor) ExtractInterned(dst []types.ITransfer, in *Interner, r *evm.Receipt) []types.ITransfer {
-	if r == nil || !r.Success {
-		return dst
-	}
-	start := len(dst)
-	out := slices.Grow(dst, len(r.Logs)+len(r.InternalTxs))
-	its, lgs := r.InternalTxs, r.Logs
-	i, j := 0, 0
-	for {
-		// Skip entries that do not move assets: zero-value internal
-		// transactions and non-Transfer logs.
-		for i < len(its) && its[i].Value.IsZero() {
-			i++
-		}
-		for j < len(lgs) && !isERC20Transfer(&lgs[j]) {
-			j++
-		}
-		if i >= len(its) && j >= len(lgs) {
-			break
-		}
-		if j >= len(lgs) || (i < len(its) && its[i].Seq < lgs[j].Seq) {
-			it := &its[i]
-			out = append(out, types.ITransfer{
-				Seq:      it.Seq,
-				Sender:   it.From,
-				Receiver: it.To,
-				Amount:   it.Value,
-				Token:    types.ETHTokenID,
-			})
-			i++
-		} else {
-			lg := &lgs[j]
-			out = append(out, types.ITransfer{
-				Seq:      lg.Seq,
-				Sender:   lg.Addrs[0],
-				Receiver: lg.Addrs[1],
-				Amount:   lg.Amounts[0],
-				Token:    in.IDOf(lg.Address),
-			})
-			j++
-		}
-	}
-	tail := out[start:]
-	for k := 1; k < len(tail); k++ {
-		if tail[k].Seq < tail[k-1].Seq {
-			slices.SortFunc(tail, func(a, b types.ITransfer) int {
-				switch {
-				case a.Seq < b.Seq:
-					return -1
-				case a.Seq > b.Seq:
-					return 1
-				default:
-					return 0
-				}
-			})
-			break
-		}
-	}
-	return out
-}
-
-func isERC20Transfer(lg *evm.Log) bool {
-	return lg.Event == "Transfer" && len(lg.Addrs) == 2 && len(lg.Amounts) == 1
 }

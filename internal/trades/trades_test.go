@@ -29,12 +29,46 @@ func burn(seq uint64, from types.Tag, amount uint64, tok types.Token) types.AppT
 	return types.AppTransfer{Seq: seq, Sender: from, ToBlackHole: true, Amount: uint256.FromUint64(amount), Token: tok}
 }
 
+// identify interns application-level transfers into a throwaway id
+// space, runs IdentifyInterned, and resolves the trades back.
+func identify(in []types.AppTransfer) []types.Trade {
+	var ids types.IDSpace
+	its := make([]types.ITransfer, 0, len(in))
+	for _, t := range in {
+		its = append(its, types.ITransfer{
+			Seq:       t.Seq,
+			SenderTag: ids.TagID(t.Sender), ReceiverTag: ids.TagID(t.Receiver),
+			FromBlackHole: t.FromBlackHole, ToBlackHole: t.ToBlackHole,
+			Amount: t.Amount, Token: ids.TokenID(t.Token),
+		})
+	}
+	var out []types.Trade
+	for _, it := range IdentifyInterned(nil, its) {
+		tr := types.Trade{
+			Kind:  it.Kind,
+			Buyer: ids.Tag(it.Buyer), Seller: ids.Tag(it.Seller),
+			AmountSell: it.AmountSell, TokenSell: ids.Token(it.TokenSell),
+			AmountBuy: it.AmountBuy, TokenBuy: ids.Token(it.TokenBuy),
+			Seq: it.Seq,
+		}
+		leg := &types.TradeLeg{Amount: it.Secondary.Amount, Token: ids.Token(it.Secondary.Token)}
+		switch it.SecondaryKind {
+		case types.SecondaryIsBuy:
+			tr.SecondaryBuy = leg
+		case types.SecondaryIsSell:
+			tr.SecondarySell = leg
+		}
+		out = append(out, tr)
+	}
+	return out
+}
+
 func TestSwapTwoTransfers(t *testing.T) {
 	in := []types.AppTransfer{
 		at(0, tagA, tagB, 100, ethT),
 		at(1, tagB, tagA, 2, btcT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 {
 		t.Fatalf("trades = %v", got)
 	}
@@ -56,7 +90,7 @@ func TestSwapThreeTransfers(t *testing.T) {
 		at(1, tagB, tagA, 2, btcT),
 		at(2, tagB, tagA, 7, sndT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 {
 		t.Fatalf("trades = %v", got)
 	}
@@ -74,7 +108,7 @@ func TestMintTwoAndReversed(t *testing.T) {
 		at(0, tagA, tagB, 100, ethT),
 		mint(1, tagA, 50, lpT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 || got[0].Kind != types.TradeMint {
 		t.Fatalf("trades = %v", got)
 	}
@@ -86,7 +120,7 @@ func TestMintTwoAndReversed(t *testing.T) {
 		mint(0, tagA, 50, lpT),
 		at(1, tagA, tagB, 100, ethT),
 	}
-	got = Identify(in)
+	got = identify(in)
 	if len(got) != 1 || got[0].Kind != types.TradeMint {
 		t.Fatalf("reversed mint = %v", got)
 	}
@@ -98,7 +132,7 @@ func TestMintThreeTransfers(t *testing.T) {
 		at(1, tagA, tagB, 2, btcT),
 		mint(2, tagA, 50, lpT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 {
 		t.Fatalf("trades = %v", got)
 	}
@@ -119,7 +153,7 @@ func TestRemoveTwoAndReversed(t *testing.T) {
 		burn(0, tagA, 50, lpT),
 		at(1, tagB, tagA, 100, ethT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 || got[0].Kind != types.TradeRemove {
 		t.Fatalf("trades = %v", got)
 	}
@@ -131,7 +165,7 @@ func TestRemoveTwoAndReversed(t *testing.T) {
 		at(0, tagB, tagA, 100, ethT),
 		burn(1, tagA, 50, lpT),
 	}
-	got = Identify(in)
+	got = identify(in)
 	if len(got) != 1 || got[0].Kind != types.TradeRemove {
 		t.Fatalf("reversed remove = %v", got)
 	}
@@ -143,7 +177,7 @@ func TestRemoveThreeTransfers(t *testing.T) {
 		at(1, tagB, tagA, 100, ethT),
 		at(2, tagB, tagA, 2, btcT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 {
 		t.Fatalf("trades = %v", got)
 	}
@@ -164,7 +198,7 @@ func TestGreedyConsumption(t *testing.T) {
 		at(2, tagA, tagB, 200, ethT),
 		at(3, tagB, tagA, 3, btcT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 2 {
 		t.Fatalf("trades = %v", got)
 	}
@@ -178,7 +212,7 @@ func TestSameTokenNoTrade(t *testing.T) {
 		at(0, tagA, tagB, 100, ethT),
 		at(1, tagB, tagA, 90, ethT), // same token both ways: no swap
 	}
-	if got := Identify(in); len(got) != 0 {
+	if got := identify(in); len(got) != 0 {
 		t.Errorf("trades = %v", got)
 	}
 }
@@ -189,7 +223,7 @@ func TestUntaggablepartiesBlockTrades(t *testing.T) {
 		at(0, types.NoTag(), tagB, 100, ethT),
 		at(1, tagB, types.NoTag(), 2, btcT),
 	}
-	if got := Identify(in); len(got) != 0 {
+	if got := identify(in); len(got) != 0 {
 		t.Errorf("trades with untaggable parties = %v", got)
 	}
 }
@@ -202,17 +236,17 @@ func TestUnmatchedTransfersSkipped(t *testing.T) {
 		at(2, tagA, tagB, 100, ethT), // swap starts here
 		at(3, tagB, tagA, 2, btcT),
 	}
-	got := Identify(in)
+	got := identify(in)
 	if len(got) != 1 || got[0].Seq != 2 {
 		t.Errorf("trades = %v", got)
 	}
 }
 
 func TestEmptyAndSingle(t *testing.T) {
-	if got := Identify(nil); len(got) != 0 {
+	if got := identify(nil); len(got) != 0 {
 		t.Errorf("nil input: %v", got)
 	}
-	if got := Identify([]types.AppTransfer{at(0, tagA, tagB, 1, ethT)}); len(got) != 0 {
+	if got := identify([]types.AppTransfer{at(0, tagA, tagB, 1, ethT)}); len(got) != 0 {
 		t.Errorf("single transfer: %v", got)
 	}
 }
@@ -244,7 +278,7 @@ func TestQuickIdentifyProperties(t *testing.T) {
 			}
 			in = append(in, at)
 		}
-		out := Identify(in)
+		out := identify(in)
 		if len(out) > len(in)/2 {
 			return false
 		}

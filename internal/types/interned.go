@@ -9,14 +9,12 @@ import "leishen/internal/uint256"
 // tuples (Tag.Name, Token.Symbol) dominate its cost twice over: every
 // comparison is a memeq over string bytes, and every stage-to-stage copy
 // drags pointer-dense structs through the GC's scan phase. The interned
-// twins below replace each string-valued identity with a small integer
+// tuples below replace each string-valued identity with a small integer
 // id issued by a scan-lifetime intern table (tags by the tagger, tokens
 // by the trace interner). Id equality is exactly struct equality —
 // tables issue one id per distinct value — so the pipeline compares and
-// hashes ints, and resolves ids back to the full structs only when a
-// report is materialized. Resolution reproduces the exact Tag/Token
-// values the string pipeline would have carried, which is what keeps
-// report output byte-identical.
+// hashes ints, and resolves ids back to the full Tag and Token values
+// only when a report is materialized.
 
 // TagID is an interned application tag. The tagger issues one id per
 // distinct Tag value, so id equality is Tag equality.
@@ -124,3 +122,66 @@ func (t ITrade) Rate() float64 { return t.AmountSell.Rat(t.AmountBuy) }
 
 // InverseRate returns AmountBuy/AmountSell.
 func (t ITrade) InverseRate() float64 { return t.AmountBuy.Rat(t.AmountSell) }
+
+// IDSpace is a standalone intern table for tags and tokens that arrive
+// in string form outside a detector: a baseline's trade list or a test
+// fixture. It follows the pipeline's id conventions: an untaggable tag
+// is NoTagID, native Ether is ETHTokenID, and a token is identified by
+// its contract address (Token resolves the first value seen at that
+// address). The zero value is ready to use; not safe for concurrent use.
+type IDSpace struct {
+	tagIDs   map[Tag]TagID
+	tags     []Tag // tags[id-1]
+	tokenIDs map[Address]TokenID
+	tokens   []Token // tokens[id-1]
+}
+
+// TagID returns the id of tag, issuing one on first sight.
+func (s *IDSpace) TagID(tag Tag) TagID {
+	if tag.IsNone() {
+		return NoTagID
+	}
+	id, ok := s.tagIDs[tag]
+	if !ok {
+		if s.tagIDs == nil {
+			s.tagIDs = make(map[Tag]TagID)
+		}
+		s.tags = append(s.tags, tag)
+		id = TagID(len(s.tags))
+		s.tagIDs[tag] = id
+	}
+	return id
+}
+
+// Tag resolves a tag id issued by this space.
+func (s *IDSpace) Tag(id TagID) Tag {
+	if id == NoTagID {
+		return NoTag()
+	}
+	return s.tags[id-1]
+}
+
+// TokenID returns the id of tok's address, issuing one on first sight.
+func (s *IDSpace) TokenID(tok Token) TokenID {
+	if tok.IsETH() {
+		return ETHTokenID
+	}
+	id, ok := s.tokenIDs[tok.Address]
+	if !ok {
+		if s.tokenIDs == nil {
+			s.tokenIDs = make(map[Address]TokenID)
+		}
+		s.tokens = append(s.tokens, tok)
+		id = TokenID(len(s.tokens))
+		s.tokenIDs[tok.Address] = id
+	}
+	return id
+}
+
+// Token resolves a token id issued by this space.
+func (s *IDSpace) Token(id TokenID) Token {
+	if id == ETHTokenID {
+		return ETH
+	}
+	return s.tokens[id-1]
+}

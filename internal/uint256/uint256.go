@@ -424,6 +424,19 @@ func (x Int) MustMulDiv(y, den Int) Int {
 	return z
 }
 
+// WithinBps reports |x-y| <= max(x,y)*bps/10^4: x and y agree to within
+// bps basis points of the larger one. The bound is computed over a
+// 512-bit intermediate, so for bps <= 10^4 amounts near Max do not
+// overflow.
+func WithinBps(x, y Int, bps uint64) bool {
+	hi := x
+	if y.Gt(x) {
+		hi = y
+	}
+	bound := hi.MustMulDiv(FromUint64(bps), FromUint64(10_000))
+	return x.AbsDiff(y).Lte(bound)
+}
+
 // Sqrt returns the integer square root of x (the largest s with s*s <= x),
 // using Newton iteration seeded from the bit length.
 func (x Int) Sqrt() Int {
