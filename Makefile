@@ -9,9 +9,10 @@
 #                 errors, leaked goroutines, order taint); emits lint.json
 #                 as a machine-readable artifact;
 #   test        — the unit and scenario suites;
-#   race        — the concurrent surfaces (HTTP server, scan pool, chain,
-#                 token registry, archive, follower) and the parallel lint
-#                 driver under the race detector;
+#   race        — the concurrent surfaces (detector arena pool, HTTP
+#                 server, scan pool, chain, token registry, archive,
+#                 follower) and the parallel lint driver under the race
+#                 detector;
 #   bench-smoke — the throughput harness still runs end to end (tiny
 #                 corpus, no numbers recorded);
 #   bench-serve-smoke — the HTTP serve benchmark on a tiny archive; it
@@ -52,7 +53,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/serve/... ./internal/evm/... ./internal/token/... ./internal/scan/... ./internal/archive/... ./internal/follower/... ./internal/analysis/... ./internal/metrics/... ./internal/vfs/...
+	go test -race ./internal/core/... ./internal/serve/... ./internal/evm/... ./internal/token/... ./internal/scan/... ./internal/archive/... ./internal/follower/... ./internal/analysis/... ./internal/metrics/... ./internal/vfs/...
 
 # bench records scan throughput + allocation figures to BENCH_scan.json,
 # archive append/reopen figures to BENCH_archive.json, per-analyzer

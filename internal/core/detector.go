@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"leishen/internal/evm"
@@ -146,6 +147,11 @@ type Detector struct {
 	irules    simplify.InternedRules
 	opts      Options
 	clock     func() time.Time
+
+	// arenas recycles the Arenas behind plain Inspect, so single-tx
+	// callers run on warmed buffers and shared slab blocks as a scan
+	// worker does.
+	arenas sync.Pool
 }
 
 // NewDetector builds a detector over a chain snapshot. The tagger is
@@ -173,18 +179,29 @@ func NewDetector(view tagging.ChainView, tokens trace.TokenResolver, opts Option
 // Tagger exposes the precomputed tagger (baselines reuse it).
 func (d *Detector) Tagger() *tagging.Tagger { return d.tagger }
 
-// Inspect runs the full pipeline on one receipt.
+// Inspect runs the full pipeline on one receipt. It is safe for
+// concurrent use: each call borrows an Arena from the detector's pool
+// and returns it when the pipeline completes. A call that panics
+// drops its arena instead, since the pipeline may have left it
+// inconsistent. The report stays valid after later calls reuse the
+// arena, for the reason InspectScratch gives.
 func (d *Detector) Inspect(r *evm.Receipt) *Report {
-	return d.InspectScratch(r, nil)
+	a, _ := d.arenas.Get().(*Arena)
+	if a == nil {
+		a = NewArena()
+	}
+	rep := d.InspectScratch(r, a)
+	d.arenas.Put(a)
+	return rep
 }
 
 // InspectScratch is Inspect with a caller-owned Arena backing the
 // pipeline's intermediates and the report's data, so a scanning loop
 // that reuses one Arena per goroutine inspects transactions with near
-// zero allocations. A nil arena allocates a fresh one (plain Inspect).
-// The returned report owns all of its data — slab regions are carved
-// once and never rewritten — and is valid after any number of further
-// calls with the same arena.
+// zero allocations. A nil arena allocates a fresh one for this call
+// alone. The returned report owns all of its data — slab regions are
+// carved once and never rewritten — and is valid after any number of
+// further calls with the same arena.
 //
 // The pipeline runs on interned tuples throughout (tag and token
 // identities as integer ids) and resolves ids back to the full Tag and

@@ -85,10 +85,34 @@ func mustJSON(tb testing.TB, rep *core.Report) string {
 // digestLine renders one golden line for a report.
 func digestLine(tb testing.TB, rep *core.Report) string {
 	tb.Helper()
+	line, err := reportDigest(rep)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return line
+}
+
+// reportDigest is digestLine's body, returning the encoding error
+// instead of failing the test so worker goroutines can call it.
+func reportDigest(rep *core.Report) (string, error) {
+	js, err := json.Marshal(rep)
+	if err != nil {
+		return "", err
+	}
 	h := sha256.New()
-	h.Write([]byte(mustJSON(tb, rep)))
+	h.Write(js)
 	h.Write([]byte(rep.Detail()))
-	return rep.TxHash.Short() + " " + hex.EncodeToString(h.Sum(nil)[:8])
+	return rep.TxHash.Short() + " " + hex.EncodeToString(h.Sum(nil)[:8]), nil
+}
+
+// readGolden returns the committed golden lines.
+func readGolden(tb testing.TB) []string {
+	tb.Helper()
+	raw, err := os.ReadFile(pipelineGolden)
+	if err != nil {
+		tb.Fatalf("%v (run TestPipelineGolden with -update to regenerate)", err)
+	}
+	return strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 }
 
 // checkDetail pins Detail and the arena's DetailInto against the
@@ -168,11 +192,7 @@ func TestPipelineGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(pipelineGolden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	want := readGolden(t)
 	if len(want) != len(lines) {
 		t.Fatalf("%s has %d lines, pipeline produced %d (%d corpus receipts + %d scenarios)",
 			pipelineGolden, len(want), len(lines), len(c.Receipts), len(scenarios))

@@ -9,7 +9,8 @@ import (
 )
 
 // TestConcurrentRequests hammers every endpoint from parallel clients.
-// Run under -race this exercises the stats mutex and the chain's locks —
+// Run under -race this exercises the lock-free stats counters, the
+// detector's arena pool and the chain's locks —
 // the server must behave as one detector shared by many monitors.
 func TestConcurrentRequests(t *testing.T) {
 	srv, res := testServer(t)

@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"leishen/internal/archive"
@@ -39,6 +38,7 @@ import (
 	"leishen/internal/evm"
 	"leishen/internal/flashloan"
 	"leishen/internal/follower"
+	"leishen/internal/metrics"
 	"leishen/internal/scan"
 	"leishen/internal/types"
 )
@@ -89,14 +89,45 @@ type Server struct {
 	fol *follower.Follower
 	met *Metrics
 
-	mu    sync.Mutex
-	stats Stats
+	stats statCounters
 }
 
 // Stats summarizes what the server has inspected so far. It is the
 // scan engine's summary type: one report-counting vocabulary across the
 // batch engine, the follower and the HTTP surface.
 type Stats = scan.Summary
+
+// statCounters accumulates Stats with one lock-free counter per field,
+// so concurrent /tx, /block and /batch requests never serialize on a
+// shared lock. A snapshot taken while requests are in flight may count
+// one request in some fields and not yet in others.
+type statCounters struct {
+	inspected, flashLoans, attacks, suppressed, errors metrics.Counter
+}
+
+func (c *statCounters) add(s Stats) {
+	c.inspected.Add(uint64(s.Inspected))
+	c.flashLoans.Add(uint64(s.FlashLoans))
+	c.attacks.Add(uint64(s.Attacks))
+	c.suppressed.Add(uint64(s.Suppressed))
+	c.errors.Add(uint64(s.Errors))
+}
+
+func (c *statCounters) observe(rep *core.Report) {
+	var one Stats
+	one.Observe(rep)
+	c.add(one)
+}
+
+func (c *statCounters) snapshot() Stats {
+	return Stats{
+		Inspected:  int(c.inspected.Value()),
+		FlashLoans: int(c.flashLoans.Value()),
+		Attacks:    int(c.attacks.Value()),
+		Suppressed: int(c.suppressed.Value()),
+		Errors:     int(c.errors.Value()),
+	}
+}
 
 // New builds a server.
 func New(chain *evm.Chain, det *core.Detector) *Server {
@@ -127,10 +158,7 @@ func (s *Server) Handler() http.Handler {
 	}
 	handle("GET /healthz", http.HandlerFunc(s.handleHealthz))
 	handle("GET /stats", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.mu.Lock()
-		st := s.stats
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, s.stats.snapshot())
 	}))
 	handle("GET /tx/{hash}", http.HandlerFunc(s.handleTx))
 	handle("GET /block/{number}", http.HandlerFunc(s.handleBlock))
@@ -445,9 +473,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		receipts = append(receipts, receipt)
 	}
 	reports, sum := scan.Scan(s.det, receipts, s.ScanOpts)
-	s.mu.Lock()
-	s.stats.Add(sum)
-	s.mu.Unlock()
+	s.stats.add(sum)
 	resp := BatchResponse{Reports: make([]core.ReportJSON, len(reports)), Summary: sum}
 	for i, rep := range reports {
 		resp.Reports[i] = rep.JSON()
@@ -467,7 +493,17 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown transaction "+raw)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.inspect(receipt).JSON())
+	writePooledJSON(w, http.StatusOK, s.inspect(receipt).JSON())
+}
+
+// blockResponse is the /block reply: the block's number and time and
+// the report for each of its successful flash loan transactions, in
+// block order. Fields are declared in key order, so the body matches
+// what encoding/json writes for the equivalent map.
+type blockResponse struct {
+	Block   uint64            `json:"block"`
+	Reports []core.ReportJSON `json:"reports"`
+	Time    time.Time         `json:"time"`
 }
 
 func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
@@ -476,36 +512,24 @@ func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad block number")
 		return
 	}
-	var blk *evm.Block
-	for _, b := range s.chain.Blocks() {
-		if b.Number == n {
-			blk = b
-			break
-		}
-	}
-	if blk == nil {
+	blk, ok := s.chain.BlockByNumber(n)
+	if !ok {
 		writeError(w, http.StatusNotFound, "unknown block")
 		return
 	}
-	reports := make([]core.ReportJSON, 0, 4)
+	resp := blockResponse{Block: blk.Number, Reports: make([]core.ReportJSON, 0, 4), Time: blk.Time}
 	for _, receipt := range blk.Receipts {
 		if !receipt.Success || !flashloan.IsFlashLoanTx(receipt) {
 			continue
 		}
-		reports = append(reports, s.inspect(receipt).JSON())
+		resp.Reports = append(resp.Reports, s.inspect(receipt).JSON())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"block":   blk.Number,
-		"time":    blk.Time,
-		"reports": reports,
-	})
+	writePooledJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) inspect(receipt *evm.Receipt) *core.Report {
 	rep := s.det.Inspect(receipt)
-	s.mu.Lock()
-	s.stats.Observe(rep)
-	s.mu.Unlock()
+	s.stats.observe(rep)
 	return rep
 }
 

@@ -97,6 +97,7 @@ func TestBlockScan(t *testing.T) {
 	if len(out.Reports) != 1 || !out.Reports[0].IsAttack {
 		t.Fatalf("block reports = %+v", out.Reports)
 	}
+	getJSON(t, srv.URL+"/block/0", http.StatusNotFound, nil)
 	getJSON(t, srv.URL+"/block/999999", http.StatusNotFound, nil)
 	getJSON(t, srv.URL+"/block/xyz", http.StatusBadRequest, nil)
 }
