@@ -16,9 +16,10 @@
 #   bench-smoke — the throughput harness still runs end to end (tiny
 #                 corpus, no numbers recorded);
 #   bench-serve-smoke — the HTTP serve benchmark on a tiny archive; it
-#                 hard-fails unless the zero-decode path serves bodies
-#                 byte-identical to the decode path and allocates less
-#                 per request, so it doubles as a correctness gate;
+#                 hard-fails unless /reports and /reports/{hash} serve
+#                 bodies byte-identical to json.NewEncoder output for the
+#                 expected page and a /reports page allocates below the
+#                 shape's ceiling, so it doubles as a correctness gate;
 #   bench-metrics-smoke — the telemetry overhead proof; it hard-fails
 #                 when an instrumented scan runs >3% slower than a bare
 #                 one or allocates on the per-transaction path;
@@ -57,8 +58,8 @@ race:
 
 # bench records scan throughput + allocation figures to BENCH_scan.json,
 # archive append/reopen figures to BENCH_archive.json, per-analyzer
-# lint wall time to BENCH_lint.json, HTTP read-path throughput
-# (decode vs zero-decode serving) to BENCH_serve.json, and the
+# lint wall time to BENCH_lint.json, zero-decode HTTP read-path
+# throughput and allocations to BENCH_serve.json, and the
 # telemetry overhead proof to BENCH_metrics.json (tracked; regenerate
 # when the hot path, the storage layer, the analysis suite, the serving
 # layer, or the instrumentation changes).

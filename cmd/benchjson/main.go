@@ -28,8 +28,12 @@
 // durability cadences — a synced checkpoint every checkpointEvery
 // records (the per-block path) and the group-commit cadence of deferred
 // checkpoints with one sync per batch — then reopens it both ways
-// (sidecar-indexed and full replay) and times flag-filtered Select with
-// and without segment fence/bloom pruning.
+// (sidecar-indexed and full replay) and times a flag-filtered Select,
+// which segment fence/bloom pruning answers from a few segments.
+//
+// The serve pass (serve.go) checks the /reports routes' bodies against
+// a json.NewEncoder oracle and their allocations against a per-shape
+// ceiling before timing them.
 package main
 
 import (
@@ -115,10 +119,8 @@ type ArchiveResult struct {
 	ReopenIndexedMillis float64 `json:"reopen_indexed_ms"`
 	ReopenSpeedup       float64 `json:"reopen_speedup"`
 	// Select throughput for a flag-filtered query (FlagAttack lives in a
-	// narrow band of blocks) with segment fence/bloom pruning on and off.
-	SelectPrunedPerSec   float64 `json:"select_pruned_per_sec"`
-	SelectUnprunedPerSec float64 `json:"select_unpruned_per_sec"`
-	SelectSpeedup        float64 `json:"select_speedup"`
+	// narrow band of blocks, so fence pruning skips most segments).
+	SelectPrunedPerSec float64 `json:"select_pruned_per_sec"`
 	// Resulting on-disk shape.
 	Segments int   `json:"segments"`
 	DirBytes int64 `json:"dir_bytes"`
@@ -217,9 +219,9 @@ func run() error {
 			return err
 		}
 		if *arcOut != "-" {
-			fmt.Fprintf(os.Stderr, "archive: %d records, append %.0f rec/s (batched %.0f), reopen replay %.1f ms / indexed %.2f ms (%.1fx), select pruned %.0f q/s vs %.0f, %d segments -> %s\n",
+			fmt.Fprintf(os.Stderr, "archive: %d records, append %.0f rec/s (batched %.0f), reopen replay %.1f ms / indexed %.2f ms (%.1fx), select %.0f q/s, %d segments -> %s\n",
 				ares.Records, ares.AppendPerSec, ares.BatchedAppendPerSec, ares.ReopenMillis, ares.ReopenIndexedMillis,
-				ares.ReopenSpeedup, ares.SelectPrunedPerSec, ares.SelectUnprunedPerSec, ares.Segments, *arcOut)
+				ares.ReopenSpeedup, ares.SelectPrunedPerSec, ares.Segments, *arcOut)
 		}
 	}
 
@@ -277,10 +279,9 @@ func run() error {
 			return err
 		}
 		if *serveOut != "-" {
-			fmt.Fprintf(os.Stderr, "serve: %d records, /reports raw %.0f q/s vs decode %.0f (%.2fx), /reports/{tx} raw %.0f q/s vs decode %.0f (%.2fx), raw %.0f vs decode %.0f allocs/list-req -> %s\n",
-				sres.Records, sres.Raw.List.QPS, sres.Decode.List.QPS, sres.ListQPSSpeedup,
-				sres.Raw.Get.QPS, sres.Decode.Get.QPS, sres.GetQPSSpeedup,
-				sres.Raw.List.AllocsPerReq, sres.Decode.List.AllocsPerReq, *serveOut)
+			fmt.Fprintf(os.Stderr, "serve: %d records, /reports %.0f q/s, /reports/{tx} %.0f q/s, %.2f allocs/list-req (ceiling %.0f) -> %s\n",
+				sres.Records, sres.Raw.List.QPS, sres.Raw.Get.QPS,
+				sres.Raw.List.AllocsPerReq, sres.ListAllocsCeiling, *serveOut)
 		}
 	}
 	return nil
@@ -302,8 +303,7 @@ func emitJSON(v any, path string) error {
 
 // benchArchive populates a throwaway archive with synthetic report
 // records at the follower's cadence and times append (both durability
-// cadences), reopen (replay and sidecar-indexed) and pruned vs.
-// unpruned Select.
+// cadences), reopen (replay and sidecar-indexed) and Select.
 func benchArchive(smoke bool, rounds int) (*ArchiveResult, error) {
 	res := &ArchiveResult{
 		Records:         100_000,
@@ -341,8 +341,7 @@ func benchArchive(smoke bool, rounds int) (*ArchiveResult, error) {
 		}
 		best(&res.AppendPerSec, float64(res.Records)/fig.appendSec)
 		best(&res.BatchedAppendPerSec, float64(res.Records)/fig.batchedSec)
-		best(&res.SelectPrunedPerSec, fig.prunedQPS)
-		best(&res.SelectUnprunedPerSec, fig.unprunedQPS)
+		best(&res.SelectPrunedPerSec, fig.selectQPS)
 		if ms := fig.replaySec * 1e3; res.ReopenMillis == 0 || ms < res.ReopenMillis {
 			res.ReopenMillis = ms
 			res.ReopenRecPerSec = float64(res.Records) / fig.replaySec
@@ -356,22 +355,18 @@ func benchArchive(smoke bool, rounds int) (*ArchiveResult, error) {
 	if res.ReopenIndexedMillis > 0 {
 		res.ReopenSpeedup = res.ReopenMillis / res.ReopenIndexedMillis
 	}
-	if res.SelectUnprunedPerSec > 0 {
-		res.SelectSpeedup = res.SelectPrunedPerSec / res.SelectUnprunedPerSec
-	}
 	return res, nil
 }
 
 // roundFigures is one archive round's raw timings.
 type roundFigures struct {
-	appendSec   float64 // per-block synced cadence
-	batchedSec  float64 // group-commit cadence
-	replaySec   float64 // full-replay reopen
-	indexedSec  float64 // sidecar-indexed reopen
-	prunedQPS   float64
-	unprunedQPS float64
-	segs        int
-	dirBytes    int64
+	appendSec  float64 // per-block synced cadence
+	batchedSec float64 // group-commit cadence
+	replaySec  float64 // full-replay reopen
+	indexedSec float64 // sidecar-indexed reopen
+	selectQPS  float64
+	segs       int
+	dirBytes   int64
 }
 
 // populate appends res.Records synthetic reports into a fresh archive
@@ -471,25 +466,12 @@ func archiveRound(dir string, res *ArchiveResult, payload []byte) (fig roundFigu
 	// Select: first matches of the rare flag, the "what did we flag"
 	// query a monitor asks constantly.
 	query := archive.Query{Flags: archive.FlagAttack, Limit: 10}
-	fig.prunedQPS, err = timeSelect(indexed, query)
+	fig.selectQPS, err = timeSelect(indexed, query)
 	if err != nil {
 		indexed.Close()
 		return fig, err
 	}
-	if err := indexed.Close(); err != nil {
-		return fig, err
-	}
-
-	unpruned, err := archive.Open(syncedDir, archive.Options{SegmentBytes: res.SegmentBytes, NoPrune: true})
-	if err != nil {
-		return fig, err
-	}
-	fig.unprunedQPS, err = timeSelect(unpruned, query)
-	if err != nil {
-		unpruned.Close()
-		return fig, err
-	}
-	return fig, unpruned.Close()
+	return fig, indexed.Close()
 }
 
 // timeOpen opens dir a few times, returning the fastest open's wall

@@ -72,10 +72,6 @@ type Options struct {
 	// benchmark and repair knob — the resulting in-memory index is
 	// identical to a sidecar-assisted open's.
 	NoSidecars bool
-	// NoPrune disables segment fence/bloom pruning in Select and Get —
-	// the linear reference path regression tests and benchmarks compare
-	// the pruned path against.
-	NoPrune bool
 }
 
 func (o Options) segmentBytes() int64 {
@@ -900,13 +896,11 @@ func (a *Archive) lookupTxLocked(h types.Hash) (int, bool) {
 		if seg.sealed == nil {
 			continue
 		}
-		if !a.opts.NoPrune {
-			if !seg.sealed.bloomBuilt {
-				a.buildBloomLocked(s)
-			}
-			if !seg.sealed.bloom.mayContain(h) {
-				continue
-			}
+		if !seg.sealed.bloomBuilt {
+			a.buildBloomLocked(s)
+		}
+		if !seg.sealed.bloom.mayContain(h) {
+			continue
 		}
 		if i, ok := a.sealedLookupLocked(s, h); ok {
 			return i, true

@@ -10,10 +10,11 @@
 // are fetched with a single ReadAt through a cached per-segment file
 // handle instead of an open/read/close triple per record.
 //
-// Get and Select remain the decoded API; both are now thin wrappers
-// over the raw path, so the two are byte-identical by construction —
-// a property the tests still pin on randomized archives rather than
-// trusting the construction.
+// Get and Select remain the decoded API; both are thin wrappers over
+// the raw path, so the two are byte-identical by construction. There is
+// one gather (fence-pruned); TestSelectPrunedMatchesLinear holds both
+// APIs to a linear model of the appended records on randomized
+// archives rather than trusting the construction.
 package archive
 
 import (
@@ -115,13 +116,7 @@ func (a *Archive) selectRawLocked(q *Query) ([]RawRecord, bool, error) {
 		}
 		minIdx = i + 1
 	}
-	var matched []int
-	var more bool
-	if a.opts.NoPrune {
-		matched, more = a.gatherLinearLocked(q, minIdx)
-	} else {
-		matched, more = a.gatherPrunedLocked(q, minIdx)
-	}
+	matched, more := a.gatherPrunedLocked(q, minIdx)
 	if len(matched) == 0 {
 		return nil, more, nil
 	}
@@ -176,32 +171,6 @@ func (a *Archive) gatherPrunedLocked(q *Query, minIdx int) ([]int, bool) {
 			}
 			matched = append(matched, i)
 		}
-	}
-	return matched, false
-}
-
-// gatherLinearLocked is the NoPrune reference gather: one binary search
-// for the range start, then a linear walk over every frame.
-func (a *Archive) gatherLinearLocked(q *Query, minIdx int) ([]int, bool) {
-	start := sort.Search(len(a.frames), func(i int) bool {
-		return a.frames[i].block >= q.FromBlock
-	})
-	if start < minIdx {
-		start = minIdx
-	}
-	var matched []int
-	for i := start; i < len(a.frames); i++ {
-		f := &a.frames[i]
-		if q.ToBlock != 0 && f.block > q.ToBlock {
-			break
-		}
-		if f.kind != KindReport || f.flags&q.Flags != q.Flags {
-			continue
-		}
-		if q.Limit > 0 && len(matched) == q.Limit {
-			return matched, true
-		}
-		matched = append(matched, i)
 	}
 	return matched, false
 }

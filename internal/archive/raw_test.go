@@ -4,16 +4,230 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"leishen/internal/types"
 )
 
+// selectModel is the linear reference the archive's read path is held
+// to: every appended report in append order, filtered by a plain walk.
+// Checkpoints never match a query, so the model does not hold them.
+type selectModel struct{ recs []RawRecord }
+
+// latest returns the index of h's most recently appended copy, or -1.
+func (m *selectModel) latest(h types.Hash) int {
+	for i := len(m.recs) - 1; i >= 0; i-- {
+		if m.recs[i].TxHash == h {
+			return i
+		}
+	}
+	return -1
+}
+
+// query answers q the way Select documents it: records after the
+// latest copy of the After cursor (an unknown cursor is an error),
+// inside [FromBlock, ToBlock] (ToBlock 0 = open), carrying every bit of
+// Flags, cut at Limit with more reporting whether a further match
+// exists.
+func (m *selectModel) query(q Query) ([]RawRecord, bool, error) {
+	start := 0
+	if !q.After.IsZero() {
+		i := m.latest(q.After)
+		if i < 0 {
+			return nil, false, fmt.Errorf("unknown cursor %s", q.After)
+		}
+		start = i + 1
+	}
+	var out []RawRecord
+	for _, r := range m.recs[start:] {
+		if r.Block < q.FromBlock || (q.ToBlock != 0 && r.Block > q.ToBlock) || r.Flags&q.Flags != q.Flags {
+			continue
+		}
+		if q.Limit > 0 && len(out) == q.Limit {
+			return out, true, nil
+		}
+		out = append(out, r)
+	}
+	return out, false, nil
+}
+
+// TestSelectPrunedMatchesLinear holds the fence/bloom-pruned SelectRaw
+// and Select to the linear model on randomized archives — segments small enough that fence pruning
+// skips most of them, interleaved checkpoints for the run coalescer to
+// step over, and re-appended hashes so the After cursor and point
+// lookups must resolve to the latest copy. Every query (range, flags,
+// limit, more, cursor, unknown cursor) and a full pagination walk run
+// on the live archive and again after a sidecar reopen, where the
+// sealed segments' blooms are built lazily on first lookup: every
+// appended hash must then resolve through GetRaw to the model's latest
+// copy (no bloom false negatives) and absent hashes must miss.
+func TestSelectPrunedMatchesLinear(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 4; trial++ {
+		dir := t.TempDir()
+		a, err := Open(dir, Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m selectModel
+		block := uint64(1)
+		n := 40 + rng.Intn(80)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				block += uint64(rng.Intn(4))
+			}
+			var flags uint8
+			switch rng.Intn(4) {
+			case 0:
+				flags = FlagFlashLoan
+			case 1:
+				flags = FlagFlashLoan | FlagAttack
+			case 2:
+				flags = FlagFlashLoan | FlagAttack | FlagSuppressed
+			}
+			h := types.HashFromData([]byte("model"), []byte{byte(trial), byte(i), byte(i >> 8)})
+			if i > 0 && rng.Intn(10) == 0 {
+				h = m.recs[rng.Intn(len(m.recs))].TxHash
+			}
+			rec := &Record{
+				Kind:   KindReport,
+				TxHash: h,
+				Block:  block,
+				Flags:  flags,
+				Report: []byte(fmt.Sprintf(`{"i":%d,"trial":%d}`, i, trial)),
+			}
+			if err := a.AppendReport(rec); err != nil {
+				t.Fatal(err)
+			}
+			m.recs = append(m.recs, RawRecord{TxHash: rec.TxHash, Block: rec.Block, Flags: rec.Flags, Report: rec.Report})
+			if rng.Intn(8) == 0 {
+				if err := a.AppendCheckpoint(Checkpoint{Block: block, Digest: types.HashFromData([]byte{byte(i)})}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		queries := []Query{
+			{},
+			{Flags: FlagAttack},
+			{Flags: FlagAttack | FlagSuppressed},
+			{FromBlock: block / 2},
+			{ToBlock: block / 2},
+			{FromBlock: block + 10},
+			{FromBlock: block / 2, ToBlock: block / 4},
+			{After: types.HashFromData([]byte("no-such-record"))},
+		}
+		for q := 0; q < 24; q++ {
+			qq := Query{
+				FromBlock: uint64(rng.Intn(int(block) + 2)),
+				ToBlock:   uint64(rng.Intn(int(block) + 2)),
+				Flags:     uint8(rng.Intn(2)) * FlagAttack,
+				Limit:     rng.Intn(9),
+			}
+			if q%2 == 1 {
+				qq.After = m.recs[rng.Intn(len(m.recs))].TxHash
+			}
+			queries = append(queries, qq)
+		}
+
+		requireQueriesMatchModel(t, a, &m, queries, fmt.Sprintf("trial %d live", trial))
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		arc, err := Open(dir, Options{SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy := 0
+		for _, seg := range arc.segs {
+			if seg.sealed != nil && !seg.sealed.bloomBuilt {
+				lazy++
+			}
+		}
+		if lazy == 0 {
+			t.Fatalf("trial %d: reopen left no sealed segment with a lazily built bloom", trial)
+		}
+		for _, want := range m.recs {
+			got, ok, err := arc.GetRaw(want.TxHash)
+			if err != nil || !ok {
+				t.Fatalf("trial %d: GetRaw(%s): ok=%v err=%v", trial, want.TxHash, ok, err)
+			}
+			latest := m.recs[m.latest(want.TxHash)]
+			if got.Block != latest.Block || got.Flags != latest.Flags || !bytes.Equal(got.Report, latest.Report) {
+				t.Fatalf("trial %d: GetRaw(%s) = %+v, want latest copy %+v", trial, want.TxHash, got, latest)
+			}
+		}
+		for k := 0; k < 8; k++ {
+			absent := types.HashFromData([]byte("absent"), []byte{byte(trial), byte(k)})
+			if _, ok, err := arc.GetRaw(absent); ok || err != nil {
+				t.Fatalf("trial %d: GetRaw(absent %d): ok=%v err=%v", trial, k, ok, err)
+			}
+		}
+
+		requireQueriesMatchModel(t, arc, &m, queries, fmt.Sprintf("trial %d reopened", trial))
+		if st := arc.Stats(); st.SelectSegmentsPruned == 0 {
+			t.Errorf("trial %d: Select never skipped a segment across %d queries", trial, len(queries))
+		}
+		arc.Close()
+	}
+}
+
+// requireQueriesMatchModel runs every query, then a pagination walk,
+// through SelectRaw and Select and fails on any divergence from the
+// model.
+func requireQueriesMatchModel(t *testing.T, a *Archive, m *selectModel, queries []Query, ctx string) {
+	t.Helper()
+	for qi, q := range queries {
+		requireMatchesModel(t, a, m, q, fmt.Sprintf("%s query %d %+v", ctx, qi, q))
+	}
+	walk := Query{Flags: FlagFlashLoan, Limit: 3}
+	for page := 0; page < 100; page++ {
+		recs, more := requireMatchesModel(t, a, m, walk, fmt.Sprintf("%s page %d", ctx, page))
+		if !more {
+			return
+		}
+		walk.After = recs[len(recs)-1].TxHash
+	}
+	t.Fatalf("%s: pagination walk did not end within 100 pages", ctx)
+}
+
+// requireMatchesModel runs q through SelectRaw and Select and fails the
+// test unless both return the model's page — same records in the same
+// order, identical Report bytes, same more flag, and an error exactly
+// when the model errors. It returns the page for cursor walks.
+func requireMatchesModel(t *testing.T, a *Archive, m *selectModel, q Query, ctx string) ([]RawRecord, bool) {
+	t.Helper()
+	want, wantMore, wantErr := m.query(q)
+	raws, moreR, errR := a.SelectRaw(q)
+	recs, moreD, errD := a.Select(q)
+	if (errR != nil) != (wantErr != nil) || (errD != nil) != (wantErr != nil) {
+		t.Fatalf("%s: errors: SelectRaw %v, Select %v, model %v", ctx, errR, errD, wantErr)
+	}
+	if wantErr != nil {
+		return nil, false
+	}
+	if moreR != wantMore || moreD != wantMore || len(raws) != len(want) || len(recs) != len(want) {
+		t.Fatalf("%s: SelectRaw (%d recs, more=%v), Select (%d recs, more=%v), model (%d recs, more=%v)",
+			ctx, len(raws), moreR, len(recs), moreD, len(want), wantMore)
+	}
+	for i, w := range want {
+		if !reflect.DeepEqual(raws[i], w) {
+			t.Fatalf("%s record %d: SelectRaw %+v, model %+v", ctx, i, raws[i], w)
+		}
+		if d := (Record{Kind: KindReport, TxHash: w.TxHash, Block: w.Block, Flags: w.Flags, Report: w.Report}); !reflect.DeepEqual(recs[i], d) {
+			t.Fatalf("%s record %d: Select %+v, model %+v", ctx, i, recs[i], d)
+		}
+	}
+	return raws, wantMore
+}
+
 // TestSelectRawMatchesSelect pins the zero-decode path's contract on
 // randomized archives: for any query, SelectRaw returns exactly the
 // frames Select decodes — same order, same more flag, and Report bytes
-// identical to the stored JSON — on both the pruned and the NoPrune
-// path, including a full pagination walk.
+// identical to the stored JSON — on the live archive and after a
+// reopen, including a full pagination walk.
 func TestSelectRawMatchesSelect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 4; trial++ {
@@ -54,14 +268,14 @@ func TestSelectRawMatchesSelect(t *testing.T) {
 				}
 			}
 		}
-		if err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		for _, noPrune := range []bool{false, true} {
-			arc, err := Open(dir, Options{SegmentBytes: 256, NoPrune: noPrune})
-			if err != nil {
-				t.Fatal(err)
+		for _, reopened := range []bool{false, true} {
+			if reopened {
+				if err := a.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if a, err = Open(dir, Options{SegmentBytes: 256}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			queries := []Query{
 				{},
@@ -81,21 +295,21 @@ func TestSelectRawMatchesSelect(t *testing.T) {
 				})
 			}
 			for qi, q := range queries {
-				requireRawMatchesSelect(t, arc, q, fmt.Sprintf("trial %d noPrune %v query %d", trial, noPrune, qi))
+				requireRawMatchesSelect(t, a, q, fmt.Sprintf("trial %d reopened %v query %d", trial, reopened, qi))
 			}
 
 			// Pagination walk with a small limit: the raw cursor chain must
 			// visit the exact pages the decoded cursor chain visits.
 			walk := Query{Flags: FlagFlashLoan, Limit: 3}
 			for page := 0; page < 100; page++ {
-				raws := requireRawMatchesSelect(t, arc, walk, fmt.Sprintf("trial %d noPrune %v page %d", trial, noPrune, page))
+				raws := requireRawMatchesSelect(t, a, walk, fmt.Sprintf("trial %d reopened %v page %d", trial, reopened, page))
 				if len(raws) == 0 {
 					break
 				}
 				walk.After = raws[len(raws)-1].TxHash
 			}
-			arc.Close()
 		}
+		a.Close()
 	}
 }
 

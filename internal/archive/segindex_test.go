@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -276,115 +275,6 @@ func TestSidecarIndexMatchesReplay(t *testing.T) {
 		}
 		compare(t, dir)
 	})
-}
-
-// TestSelectPrunedMatchesLinear holds the fence/bloom-pruned Select to
-// the linear reference path on randomized archives: every query —
-// including full pagination walks via After — must return identical
-// records and identical more flags.
-func TestSelectPrunedMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 4; trial++ {
-		dir := t.TempDir()
-		a, err := Open(dir, Options{SegmentBytes: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		block := uint64(1)
-		n := 40 + rng.Intn(80)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				block += uint64(rng.Intn(4))
-			}
-			var flags uint8
-			switch rng.Intn(4) {
-			case 0:
-				flags = FlagFlashLoan
-			case 1:
-				flags = FlagFlashLoan | FlagAttack
-			case 2:
-				flags = FlagFlashLoan | FlagAttack | FlagSuppressed
-			}
-			rec := &Record{
-				Kind:   KindReport,
-				TxHash: types.HashFromData([]byte("sel"), []byte{byte(trial), byte(i), byte(i >> 8)}),
-				Block:  block,
-				Flags:  flags,
-				Report: []byte(fmt.Sprintf(`{"i":%d}`, i)),
-			}
-			if err := a.AppendReport(rec); err != nil {
-				t.Fatal(err)
-			}
-			if rng.Intn(8) == 0 {
-				if err := a.AppendCheckpoint(Checkpoint{Block: block, Digest: types.HashFromData([]byte{byte(i)})}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		pruned, err := Open(copyDir(t, dir), Options{SegmentBytes: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		linear, err := Open(copyDir(t, dir), Options{SegmentBytes: 256, NoPrune: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		queries := []Query{
-			{},
-			{Flags: FlagAttack},
-			{Flags: FlagAttack | FlagSuppressed},
-			{FromBlock: block / 2},
-			{ToBlock: block / 2},
-			{FromBlock: block + 10},
-		}
-		for q := 0; q < 12; q++ {
-			queries = append(queries, Query{
-				FromBlock: uint64(rng.Intn(int(block) + 2)),
-				ToBlock:   uint64(rng.Intn(int(block) + 2)),
-				Flags:     uint8(rng.Intn(2)) * FlagAttack,
-				Limit:     rng.Intn(9),
-			})
-		}
-		for qi, q := range queries {
-			gotP, moreP, errP := pruned.Select(q)
-			gotL, moreL, errL := linear.Select(q)
-			if (errP == nil) != (errL == nil) {
-				t.Fatalf("trial %d query %d: error mismatch: pruned %v, linear %v", trial, qi, errP, errL)
-			}
-			if moreP != moreL || !reflect.DeepEqual(gotP, gotL) {
-				t.Fatalf("trial %d query %d %+v: pruned (%d recs, more=%v) != linear (%d recs, more=%v)",
-					trial, qi, q, len(gotP), moreP, len(gotL), moreL)
-			}
-		}
-
-		// Pagination walk: page through everything with a small limit and
-		// check the two paths visit identical pages.
-		walk := Query{Flags: FlagFlashLoan, Limit: 3}
-		for page := 0; page < 100; page++ {
-			gotP, moreP, errP := pruned.Select(walk)
-			gotL, moreL, errL := linear.Select(walk)
-			if errP != nil || errL != nil {
-				t.Fatalf("trial %d page %d: pruned err %v, linear err %v", trial, page, errP, errL)
-			}
-			if moreP != moreL || !reflect.DeepEqual(gotP, gotL) {
-				t.Fatalf("trial %d page %d: pagination diverges", trial, page)
-			}
-			if !moreP {
-				break
-			}
-			walk.After = gotP[len(gotP)-1].TxHash
-		}
-		if st := pruned.Stats(); st.SelectSegmentsPruned == 0 {
-			t.Errorf("trial %d: pruned path never skipped a segment across %d queries", trial, len(queries))
-		}
-		pruned.Close()
-		linear.Close()
-	}
 }
 
 // TestGetRecordCache pins the read-through cache's contract: hits are

@@ -70,16 +70,6 @@ type Server struct {
 	// Handler is called; the zero value means GOMAXPROCS workers.
 	ScanOpts scan.Options
 
-	// DecodeServing forces the legacy decode-then-re-encode
-	// implementations of /reports and /reports/{hash}: archive.Select
-	// into Record structs, then a fresh json.Encoder per request. The
-	// default (false) is the zero-decode path — stored report bytes
-	// assembled into a pooled buffer and written with Content-Length.
-	// The two paths serve byte-identical bodies; this knob exists so the
-	// serve benchmark and the regression tests can prove it and measure
-	// the difference. Set before Handler is called.
-	DecodeServing bool
-
 	// DegradedLag is the follower lag (blocks) beyond which /healthz
 	// reports degraded; 0 means DefaultDegradedLag. Set before Handler
 	// is called.
@@ -303,10 +293,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "verdict must be attack, flashloan, suppressed or all")
 		return
 	}
-	if s.DecodeServing {
-		s.reportsDecoded(w, q)
-		return
-	}
 	recs, more, err := s.arc.SelectRaw(q)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -314,8 +300,8 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	// Assemble the ReportsResponse envelope by hand around the stored
 	// bytes — no unmarshal, no re-encode. The layout must stay
-	// byte-identical to writeJSON(ReportsResponse{...}); the raw-vs-
-	// decoded regression tests hold it there.
+	// byte-identical to json.NewEncoder output for the equivalent
+	// ReportsResponse; TestReportsBodiesMatchEncoder holds it there.
 	rb := getRespBuf()
 	rb.buf.WriteString(`{"reports":[`)
 	for i := range recs {
@@ -333,26 +319,6 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	rb.buf.WriteString("}\n")
 	writeBuf(w, http.StatusOK, rb)
-}
-
-// reportsDecoded is the legacy /reports body: decoded records
-// re-encoded through a per-request json.Encoder. Kept (behind
-// Server.DecodeServing) as the benchmark and byte-identity reference
-// for the raw path above.
-func (s *Server) reportsDecoded(w http.ResponseWriter, q archive.Query) {
-	recs, more, err := s.arc.Select(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp := ReportsResponse{Reports: make([]json.RawMessage, len(recs)), More: more}
-	for i, rec := range recs {
-		resp.Reports[i] = rec.Report
-	}
-	if more && len(recs) > 0 {
-		resp.NextAfter = recs[len(recs)-1].TxHash.String()
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func uintParam(raw string) (uint64, error) {
@@ -376,19 +342,6 @@ func (s *Server) handleReportByTx(w http.ResponseWriter, r *http.Request) {
 	h, err := types.HashFromHex(raw)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if s.DecodeServing {
-		rec, ok, err := s.arc.Get(h)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if !ok {
-			writeError(w, http.StatusNotFound, "no archived report for "+raw)
-			return
-		}
-		writeJSON(w, http.StatusOK, json.RawMessage(rec.Report))
 		return
 	}
 	rec, ok, err := s.arc.GetRaw(h)

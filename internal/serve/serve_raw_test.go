@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,8 +17,9 @@ import (
 
 // rawTestArchive appends n randomized report records (varying flags,
 // two-ish per block, interleaved checkpoints) and returns the open
-// archive plus every stored hash in append order.
-func rawTestArchive(t *testing.T, seed int64, n int) (*archive.Archive, []types.Hash) {
+// archive plus every stored record in append order — the model the
+// /reports tests predict replies from.
+func rawTestArchive(t *testing.T, seed int64, n int) (*archive.Archive, []archive.RawRecord) {
 	t.Helper()
 	arc, err := archive.Open(t.TempDir(), archive.Options{SegmentBytes: 1024})
 	if err != nil {
@@ -28,7 +28,7 @@ func rawTestArchive(t *testing.T, seed int64, n int) (*archive.Archive, []types.
 	t.Cleanup(func() { arc.Close() })
 	rng := rand.New(rand.NewSource(seed))
 	block := uint64(1)
-	hashes := make([]types.Hash, 0, n)
+	recs := make([]archive.RawRecord, 0, n)
 	for i := 0; i < n; i++ {
 		if rng.Intn(2) == 0 {
 			block += uint64(rng.Intn(3))
@@ -51,24 +51,22 @@ func rawTestArchive(t *testing.T, seed int64, n int) (*archive.Archive, []types.
 		if err := arc.AppendReport(&rec); err != nil {
 			t.Fatal(err)
 		}
-		hashes = append(hashes, rec.TxHash)
+		recs = append(recs, archive.RawRecord{TxHash: rec.TxHash, Block: rec.Block, Flags: rec.Flags, Report: rec.Report})
 		if rng.Intn(7) == 0 {
 			if err := arc.AppendCheckpoint(archive.Checkpoint{Block: block, Digest: rec.TxHash}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	return arc, hashes
+	return arc, recs
 }
 
-// rawAndDecodedHandlers builds the two serving paths over one archive.
-func rawAndDecodedHandlers(arc *archive.Archive) (raw, decoded http.Handler) {
-	rs := New(nil, nil)
-	rs.SetArchive(arc)
-	ds := New(nil, nil)
-	ds.DecodeServing = true
-	ds.SetArchive(arc)
-	return rs.Handler(), ds.Handler()
+// reportsHandler serves arc's /reports routes; they never touch the
+// chain or detector, so none are attached.
+func reportsHandler(arc *archive.Archive) http.Handler {
+	s := New(nil, nil)
+	s.SetArchive(arc)
+	return s.Handler()
 }
 
 // get drives one request through a handler and returns the response.
@@ -79,84 +77,125 @@ func get(t *testing.T, h http.Handler, url string) *httptest.ResponseRecorder {
 	return rec
 }
 
-// TestRawServingMatchesDecoded is the serve-layer byte-identity pin: on
-// randomized archives, the pooled raw path and the legacy decode path
-// return the same status and byte-identical bodies for list queries,
-// full pagination walks, point lookups and the error shapes.
-func TestRawServingMatchesDecoded(t *testing.T) {
+// modelPage is the /reports reply for recs (no duplicate hashes)
+// resumed at index start: records in [from, to] (to 0 = open) carrying
+// every bit of flags, cut at limit, with the cursor of the last record
+// when a further match exists.
+func modelPage(recs []archive.RawRecord, start int, from, to uint64, flags uint8, limit int) ReportsResponse {
+	resp := ReportsResponse{Reports: []json.RawMessage{}}
+	var lastHash types.Hash
+	for _, r := range recs[start:] {
+		if r.Block < from || (to != 0 && r.Block > to) || r.Flags&flags != flags {
+			continue
+		}
+		if len(resp.Reports) == limit {
+			resp.More = true
+			resp.NextAfter = lastHash.String()
+			break
+		}
+		resp.Reports = append(resp.Reports, r.Report)
+		lastHash = r.TxHash
+	}
+	return resp
+}
+
+// errorBody is the {"error": msg} reply every failing route sends.
+func errorBody(msg string) map[string]string { return map[string]string{"error": msg} }
+
+// TestReportsBodiesMatchEncoder pins the hand-assembled /reports and
+// /reports/{hash} bodies on randomized archives. A list reply must be
+// byte for byte what json.NewEncoder writes for the ReportsResponse the
+// model predicts from the appended records — verdict filters, block
+// ranges, limits, more, nextAfter, and a full pagination walk
+// included; a point lookup must be the stored bytes plus a newline;
+// every error must be json.NewEncoder's {"error": …}; and every 200
+// must carry an exact Content-Length.
+func TestReportsBodiesMatchEncoder(t *testing.T) {
+	hashErr := func(raw string) string {
+		_, err := types.HashFromHex(raw)
+		if err == nil {
+			t.Fatalf("%q parsed as a hash", raw)
+		}
+		return err.Error()
+	}
 	for seed := int64(1); seed <= 3; seed++ {
-		arc, hashes := rawTestArchive(t, seed, 60+int(seed)*17)
-		rawH, decH := rawAndDecodedHandlers(arc)
+		arc, recs := rawTestArchive(t, seed, 60+int(seed)*17)
+		h := reportsHandler(arc)
+		last := recs[len(recs)-1]
 
-		compare := func(url string) []byte {
+		check := func(url string, status int, want string) {
 			t.Helper()
-			rr, dr := get(t, rawH, url), get(t, decH, url)
-			if rr.Code != dr.Code {
-				t.Fatalf("GET %s: raw status %d, decoded status %d", url, rr.Code, dr.Code)
+			rec := get(t, h, url)
+			if rec.Code != status {
+				t.Fatalf("GET %s: status %d, want %d (body %s)", url, rec.Code, status, rec.Body.Bytes())
 			}
-			if !bytes.Equal(rr.Body.Bytes(), dr.Body.Bytes()) {
-				t.Fatalf("GET %s: bodies differ:\nraw     %s\ndecoded %s", url, rr.Body.Bytes(), dr.Body.Bytes())
+			if got := rec.Body.String(); got != want {
+				t.Fatalf("GET %s: body differs:\n got: %s\nwant: %s", url, got, want)
 			}
-			// The raw path promises a sized response.
-			if rr.Code == http.StatusOK {
-				if cl := rr.Header().Get("Content-Length"); cl != strconv.Itoa(rr.Body.Len()) {
-					t.Fatalf("GET %s: raw Content-Length %q, body is %d bytes", url, cl, rr.Body.Len())
+			if status == http.StatusOK {
+				if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+					t.Fatalf("GET %s: Content-Length %q, body is %d bytes", url, cl, len(want))
 				}
 			}
-			return rr.Body.Bytes()
+		}
+		ok := func(url string, want any) { t.Helper(); check(url, http.StatusOK, encoderBody(t, want)) }
+		fail := func(url string, status int, msg string) {
+			t.Helper()
+			check(url, status, encoderBody(t, errorBody(msg)))
 		}
 
-		urls := []string{
-			"/reports",
-			"/reports?verdict=attack",
-			"/reports?verdict=suppressed",
-			"/reports?verdict=flashloan&limit=7",
-			"/reports?from=3&to=9",
-			"/reports?from=999999",
-			"/reports?verdict=bogus",
-			"/reports?limit=0",
-			"/reports?after=nothex",
-			"/reports/" + hashes[0].String(),
-			"/reports/" + hashes[len(hashes)-1].String(),
-			"/reports/" + types.HashFromData([]byte("missing")).String(),
-			"/reports/nothex",
-		}
-		for _, u := range urls {
-			compare(u)
+		ok("/reports", modelPage(recs, 0, 0, 0, 0, DefaultReportsLimit))
+		ok("/reports?verdict=all&limit=1", modelPage(recs, 0, 0, 0, 0, 1))
+		ok("/reports?verdict=attack", modelPage(recs, 0, 0, 0, archive.FlagAttack, DefaultReportsLimit))
+		ok("/reports?verdict=suppressed", modelPage(recs, 0, 0, 0, archive.FlagSuppressed, DefaultReportsLimit))
+		ok("/reports?verdict=flashloan&limit=7", modelPage(recs, 0, 0, 0, archive.FlagFlashLoan, 7))
+		ok("/reports?from=3&to=9", modelPage(recs, 0, 3, 9, 0, DefaultReportsLimit))
+		ok("/reports?from=5&verdict=attack&limit=2", modelPage(recs, 0, 5, 0, archive.FlagAttack, 2))
+		ok("/reports?from=999999", modelPage(recs, 0, 999999, 0, 0, DefaultReportsLimit))
+		ok("/reports?after="+recs[9].TxHash.String()+"&limit=4", modelPage(recs, 10, 0, 0, 0, 4))
+		ok("/reports?after="+last.TxHash.String(), modelPage(recs, len(recs), 0, 0, 0, DefaultReportsLimit))
+		for _, r := range []archive.RawRecord{recs[0], recs[len(recs)/2], last} {
+			check("/reports/"+r.TxHash.String(), http.StatusOK, string(r.Report)+"\n")
 		}
 
-		// Pagination walk on a small page size: every cursor the raw path
-		// hands out must replay identically on the decoded path.
-		next := "/reports?limit=5"
-		for page := 0; next != "" && page < 200; page++ {
-			body := compare(next)
-			var env ReportsResponse
-			if err := json.Unmarshal(body, &env); err != nil {
-				t.Fatalf("page %d unmarshal: %v", page, err)
+		missing := types.HashFromData([]byte("missing"))
+		fail("/reports?verdict=bogus", http.StatusBadRequest, "verdict must be attack, flashloan, suppressed or all")
+		fail("/reports?limit=0", http.StatusBadRequest, `bad limit "0"`)
+		fail("/reports?after=nothex", http.StatusBadRequest, hashErr("nothex"))
+		fail("/reports?after="+missing.String(), http.StatusBadRequest, "archive: unknown pagination cursor "+missing.String())
+		fail("/reports/"+missing.String(), http.StatusNotFound, "no archived report for "+missing.String())
+		fail("/reports/nothex", http.StatusBadRequest, hashErr("nothex"))
+
+		// Pagination walk on a small page size, each cursor taken from the
+		// model's page and replayed against the server.
+		start, pages := 0, 0
+		for url := "/reports?limit=5"; ; pages++ {
+			want := modelPage(recs, start, 0, 0, 0, 5)
+			ok(url, want)
+			if !want.More {
+				break
 			}
-			if !env.More {
-				if env.NextAfter != "" {
-					t.Fatalf("page %d: nextAfter %q set with more=false", page, env.NextAfter)
-				}
-				next = ""
-				continue
-			}
-			next = "/reports?limit=5&after=" + env.NextAfter
+			start += 5
+			url = "/reports?limit=5&after=" + want.NextAfter
+		}
+		if pages < 10 {
+			t.Fatalf("seed %d: pagination walk ended after %d pages", seed, pages)
 		}
 	}
 }
 
 // TestReportsPaginationEdges pins the edge cases a paging client can
 // produce: a cursor at the very last record, an unknown cursor, limit=0,
-// an invalid verdict, and an inverted block range. Each must answer with
-// well-formed JSON — an error object or an empty page — never a 500.
+// an invalid verdict, an inverted block range, and a limit past
+// MaxReportsLimit. Each must answer with well-formed JSON — an error
+// object or a page — never a 500.
 func TestReportsPaginationEdges(t *testing.T) {
-	arc, hashes := rawTestArchive(t, 9, 40)
-	rawH, _ := rawAndDecodedHandlers(arc)
+	arc, recs := rawTestArchive(t, 9, 40)
+	rawH := reportsHandler(arc)
 
-	check := func(url string, wantStatus int) map[string]any {
+	check := func(h http.Handler, url string, wantStatus int) map[string]any {
 		t.Helper()
-		rr := get(t, rawH, url)
+		rr := get(t, h, url)
 		if rr.Code != wantStatus {
 			t.Fatalf("GET %s: status %d, want %d (body %s)", url, rr.Code, wantStatus, rr.Body.Bytes())
 		}
@@ -171,7 +210,7 @@ func TestReportsPaginationEdges(t *testing.T) {
 	}
 
 	// Cursor at the last record: a valid empty page, not an error.
-	v := check("/reports?after="+hashes[len(hashes)-1].String(), http.StatusOK)
+	v := check(rawH, "/reports?after="+recs[len(recs)-1].TxHash.String(), http.StatusOK)
 	if reports, ok := v["reports"].([]any); !ok || len(reports) != 0 {
 		t.Fatalf("after-last page = %v, want empty reports array", v)
 	}
@@ -180,20 +219,34 @@ func TestReportsPaginationEdges(t *testing.T) {
 	}
 
 	// Unknown cursor: a JSON error object, not a 500.
-	v = check("/reports?after="+types.HashFromData([]byte("never stored")).String(), http.StatusBadRequest)
+	v = check(rawH, "/reports?after="+types.HashFromData([]byte("never stored")).String(), http.StatusBadRequest)
 	if _, ok := v["error"]; !ok {
 		t.Fatalf("unknown cursor reply %v has no error field", v)
 	}
 
 	// limit=0 and invalid verdict: rejected as bad requests.
-	check("/reports?limit=0", http.StatusBadRequest)
-	check("/reports?limit=-3", http.StatusBadRequest)
-	check("/reports?verdict=bogus", http.StatusBadRequest)
+	check(rawH, "/reports?limit=0", http.StatusBadRequest)
+	check(rawH, "/reports?limit=-3", http.StatusBadRequest)
+	check(rawH, "/reports?verdict=bogus", http.StatusBadRequest)
 
 	// Inverted range: nothing matches, and that is an empty page.
-	v = check("/reports?from=30&to=2", http.StatusOK)
+	v = check(rawH, "/reports?from=30&to=2", http.StatusOK)
 	if reports, ok := v["reports"].([]any); !ok || len(reports) != 0 {
 		t.Fatalf("inverted range page = %v, want empty reports array", v)
+	}
+
+	// A limit past MaxReportsLimit is clamped to it, not rejected: a
+	// full page, more set, and the cursor at the last record served.
+	big, bigRecs := rawTestArchive(t, 10, MaxReportsLimit+37)
+	v = check(reportsHandler(big), "/reports?limit=5000", http.StatusOK)
+	if reports, ok := v["reports"].([]any); !ok || len(reports) != MaxReportsLimit {
+		t.Fatalf("limit=5000 served %d reports, want %d", len(reports), MaxReportsLimit)
+	}
+	if v["more"] != true {
+		t.Fatalf("clamped page claims more=%v", v["more"])
+	}
+	if want := bigRecs[MaxReportsLimit-1].TxHash.String(); v["nextAfter"] != want {
+		t.Fatalf("clamped page nextAfter = %v, want %s", v["nextAfter"], want)
 	}
 }
 
@@ -202,9 +255,8 @@ func TestReportsPaginationEdges(t *testing.T) {
 // pool and the archive's shared read handles run under the race
 // detector; every body must still be well-formed.
 func TestRawServingConcurrent(t *testing.T) {
-	arc, hashes := rawTestArchive(t, 5, 80)
-	rawH, _ := rawAndDecodedHandlers(arc)
-	srv := httptest.NewServer(rawH)
+	arc, recs := rawTestArchive(t, 5, 80)
+	srv := httptest.NewServer(reportsHandler(arc))
 	defer srv.Close()
 
 	const workers = 8
@@ -219,7 +271,7 @@ func TestRawServingConcurrent(t *testing.T) {
 				if i%2 == 0 {
 					url = fmt.Sprintf("%s/reports?limit=%d", srv.URL, 1+(w+i)%9)
 				} else {
-					url = srv.URL + "/reports/" + hashes[(w*31+i)%len(hashes)].String()
+					url = srv.URL + "/reports/" + recs[(w*31+i)%len(recs)].TxHash.String()
 				}
 				resp, err := http.Get(url)
 				if err != nil {
