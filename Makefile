@@ -13,8 +13,11 @@
 #                 server, scan pool, chain, token registry, archive,
 #                 follower) and the parallel lint driver under the race
 #                 detector;
-#   bench-smoke — the throughput harness still runs end to end (tiny
-#                 corpus, no numbers recorded);
+#   bench-smoke — the scan, archive and lint benches still run end to
+#                 end (small shapes, JSON to stdout, nothing recorded),
+#                 with the scan gate's allocation budget enforced (its
+#                 throughput check skips: the smoke corpus differs from
+#                 the committed one);
 #   bench-serve-smoke — the HTTP serve benchmark on a tiny archive; it
 #                 hard-fails unless /reports and /reports/{hash} serve
 #                 bodies byte-identical to json.NewEncoder output for the
@@ -44,8 +47,11 @@ check: build vet lint test race bench-smoke bench-serve-smoke bench-metrics-smok
 build:
 	go build ./...
 
+# vet also covers perfbench/, which is its own module, so the root
+# ./... pattern does not reach it.
 vet:
 	go vet ./...
+	cd perfbench && go vet ./...
 
 lint:
 	go run ./cmd/leishenlint -strict-waivers -json-out lint.json ./...
@@ -56,37 +62,41 @@ test:
 race:
 	go test -race ./internal/core/... ./internal/serve/... ./internal/evm/... ./internal/token/... ./internal/scan/... ./internal/archive/... ./internal/follower/... ./internal/analysis/... ./internal/metrics/... ./internal/vfs/...
 
-# bench records scan throughput + allocation figures to BENCH_scan.json,
-# archive append/reopen figures to BENCH_archive.json, per-analyzer
-# lint wall time to BENCH_lint.json, zero-decode HTTP read-path
-# throughput and allocations to BENCH_serve.json, and the
-# telemetry overhead proof to BENCH_metrics.json (tracked; regenerate
-# when the hot path, the storage layer, the analysis suite, the serving
-# layer, or the instrumentation changes).
+# bench runs every named bench of cmd/benchjson and records six files:
+# scan throughput + allocation figures to BENCH_scan.json, archive
+# append/reopen figures to BENCH_archive.json, per-analyzer lint wall
+# time to BENCH_lint.json, zero-decode HTTP read-path throughput and
+# allocations to BENCH_serve.json, the telemetry overhead proof to
+# BENCH_metrics.json and the torture matrix to BENCH_fault.json
+# (tracked; regenerate when the hot path, the storage layer, the
+# analysis suite, the serving layer, or the instrumentation changes).
+# Each result is written before its gate runs; the scan gate compares
+# against the BENCH_scan.json committed before the run, read before it
+# is overwritten. A failed gate fails the target after every bench ran.
 bench:
-	go run ./cmd/benchjson -out BENCH_scan.json -archive-out BENCH_archive.json -lint-out BENCH_lint.json -serve-out BENCH_serve.json -metrics-out BENCH_metrics.json -fault-out BENCH_fault.json
+	go run ./cmd/benchjson
 
 bench-smoke:
-	go run ./cmd/benchjson -smoke -out - -archive-out - -lint-out - -serve-out "" -metrics-out "" -fault-out ""
+	go run ./cmd/benchjson -smoke -o - scan archive lint
 
 bench-serve-smoke:
-	go run ./cmd/benchjson -smoke -out "" -archive-out "" -lint-out "" -serve-out - -metrics-out "" -fault-out ""
+	go run ./cmd/benchjson -smoke -o - serve
 
 bench-metrics-smoke:
-	go run ./cmd/benchjson -smoke -out "" -archive-out "" -lint-out "" -serve-out "" -metrics-out - -fault-out ""
+	go run ./cmd/benchjson -smoke -o - metrics
 
-# bench-scan-smoke re-runs the scan pass on the same corpus shape as the
+# bench-scan-smoke re-runs the scan bench on the same corpus shape as the
 # committed BENCH_scan.json and enforces the hot-path contract: at most
 # 2 steady-state allocations per transaction, sequential throughput
 # within 10% of the committed figure.
 bench-scan-smoke:
-	go run ./cmd/benchjson -scan-gate -out - -archive-out "" -lint-out "" -serve-out "" -metrics-out "" -fault-out ""
+	go run ./cmd/benchjson -o - scan
 
 # fault-smoke runs the crash-consistency torture matrix to stdout and
 # hard-fails on any invariant violation — the fast, deterministic form
 # of the fault gate (the full bench records it to BENCH_fault.json).
 fault-smoke:
-	go run ./cmd/benchjson -out "" -archive-out "" -lint-out "" -serve-out "" -metrics-out "" -fault-out -
+	go run ./cmd/benchjson -o - fault
 
 # fuzz-smoke hammers the segment decoder and the sidecar-index decoder
 # with mutated bytes (no input may panic, mis-frame, or decode to a

@@ -2,7 +2,7 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"leishen/internal/archive/torture"
@@ -26,10 +26,9 @@ type FaultResult struct {
 	TotalMillis float64 `json:"total_millis"`
 }
 
-// benchFault runs the full torture matrix. The caller hard-fails on a
-// nonzero violation count — after writing the result, so the evidence
-// behind a red run is on disk.
-func benchFault() (*FaultResult, error) {
+// benchFault runs the full torture matrix; the shape is the same under
+// -smoke.
+func benchFault(bool) (result, error) {
 	start := time.Now()
 	results, err := torture.RunAll()
 	if err != nil {
@@ -45,28 +44,21 @@ func benchFault() (*FaultResult, error) {
 	return res, nil
 }
 
-// runFaultPass executes the torture matrix, emits the result to path,
-// and returns an error when any invariant was violated.
-func runFaultPass(path string) error {
-	fres, err := benchFault()
-	if err != nil {
-		return err
-	}
-	if err := emitJSON(fres, path); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Fprintf(os.Stderr, "fault: %d crash points, %d recoveries across %d schedules, %d violation(s) in %.0f ms -> %s\n",
-			fres.CrashPoints, fres.Recoveries, len(fres.Schedules), fres.Violations, fres.TotalMillis, path)
-	}
-	if fres.Violations > 0 {
-		for _, r := range fres.Schedules {
-			for _, v := range r.Violations {
-				fmt.Fprintf(os.Stderr, "fault violation: %s point %d (%s, %s): %s\n",
-					v.Schedule, v.CrashPoint, v.Op, v.Variant, v.Detail)
-			}
+func (r *FaultResult) summary() string {
+	return fmt.Sprintf("%d crash points, %d recoveries across %d schedules, %d violation(s) in %.0f ms",
+		r.CrashPoints, r.Recoveries, len(r.Schedules), r.Violations, r.TotalMillis)
+}
+
+// gate fails on any recovery-invariant violation, logging each one.
+func (r *FaultResult) gate(log io.Writer) error {
+	for _, s := range r.Schedules {
+		for _, v := range s.Violations {
+			fmt.Fprintf(log, "fault violation: %s point %d (%s, %s): %s\n",
+				v.Schedule, v.CrashPoint, v.Op, v.Variant, v.Detail)
 		}
-		return fmt.Errorf("crash-consistency torture: %d violation(s)", fres.Violations)
+	}
+	if r.Violations > 0 {
+		return fmt.Errorf("crash-consistency torture: %d violation(s)", r.Violations)
 	}
 	return nil
 }

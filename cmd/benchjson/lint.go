@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"time"
 
 	"leishen/internal/analysis"
@@ -33,10 +34,15 @@ type LintTiming struct {
 	Findings int     `json:"findings"`
 }
 
-// benchLint loads the pattern set once and times each suite analyzer
-// over it, best of `rounds` passes.
-func benchLint(patterns []string, rounds int) (*LintResult, error) {
-	res := &LintResult{Patterns: patterns, Rounds: rounds}
+// benchLint loads the pattern set once — the whole module, or under
+// -smoke one small leaf package, sparing the whole-module type check —
+// and times each suite analyzer over it, best of the timed rounds.
+func benchLint(smoke bool) (result, error) {
+	patterns := []string{"./..."}
+	if smoke {
+		patterns = []string{"./internal/uint256"}
+	}
+	res := &LintResult{Patterns: patterns, Rounds: timedRounds(smoke)}
 
 	start := time.Now()
 	loader, err := analysis.NewLoader(".")
@@ -53,7 +59,7 @@ func benchLint(patterns []string, rounds int) (*LintResult, error) {
 	for _, a := range analysis.Suite() {
 		var best float64
 		findings := 0
-		for r := 0; r < rounds; r++ {
+		for r := 0; r < res.Rounds; r++ {
 			t0 := time.Now()
 			diags := analysis.Run(pkgs, []*analysis.Analyzer{a})
 			sec := time.Since(t0).Seconds()
@@ -67,4 +73,9 @@ func benchLint(patterns []string, rounds int) (*LintResult, error) {
 		res.Findings += findings
 	}
 	return res, nil
+}
+
+func (r *LintResult) summary() string {
+	return fmt.Sprintf("%d package(s) loaded in %.0f ms, %d analyzers in %.1f ms, %d finding(s)",
+		r.Packages, r.LoadMillis, len(r.Analyzers), r.TotalMillis, r.Findings)
 }

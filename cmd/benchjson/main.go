@@ -1,48 +1,33 @@
-// Command benchjson measures scan-engine, archive, lint and HTTP-serve
-// throughput and writes the results as machine-readable JSON
-// (BENCH_scan.json, BENCH_archive.json, BENCH_lint.json,
-// BENCH_serve.json), so performance can be tracked across commits
-// without parsing `go test -bench` output:
+// Command benchjson runs LeiShen's named benches and writes each result
+// as JSON, BENCH_<name>.json, so performance and the gates that hold it
+// can be tracked across commits without parsing `go test -bench` output:
 //
-//	benchjson                      # default corpus, GOMAXPROCS workers
-//	benchjson -workers 8 -scale 2  # explicit pool size and corpus scale
-//	benchjson -smoke               # tiny corpus, one round — CI gate that
-//	                               # the harness itself still works
-//	benchjson -out BENCH_scan.json # scan output path ("" skips the pass)
-//	benchjson -archive-out BENCH_archive.json # archive output path
-//	benchjson -serve-out BENCH_serve.json     # HTTP serve output path
+//	benchjson                     # every bench, BENCH_*.json in .
+//	benchjson -smoke -o - serve   # one bench on its small shape, to stdout
+//	benchjson -o out scan metrics # two benches, BENCH_*.json in out/
 //
-// The scan pass times two sweeps over the same generated corpus — a
-// sequential scan (workers=1) and a parallel scan — and reports both as
-// transactions/second, plus the steady-state heap allocations per
-// transaction of the scratch-reusing hot path. On a single-core host the
-// parallel figure tracks the sequential one (there is no parallelism to
-// exploit); the gain appears with GOMAXPROCS > 1.
-//
-// The scan pass also emits a per-worker-count scaling table, so the
-// parallel figure can be read against the host's core count instead of
-// trusting a single speedup number.
-//
-// The archive pass appends 100k synthetic report records (5k under
-// -smoke) into a fresh archive in a temporary directory at two
-// durability cadences — a synced checkpoint every checkpointEvery
-// records (the per-block path) and the group-commit cadence of deferred
-// checkpoints with one sync per batch — then reopens it both ways
-// (sidecar-indexed and full replay) and times a flag-filtered Select,
-// which segment fence/bloom pruning answers from a few segments.
-//
-// The serve pass (serve.go) checks the /reports routes' bodies against
-// a json.NewEncoder oracle and their allocations against a per-shape
-// ceiling before timing them.
+// A bare run takes the registry in order: scan and archive (here), lint
+// (lint.go), serve (serve.go), metrics (metrics.go) and fault
+// (fault.go). Every bench but archive and lint has a gate, a method
+// beside its result type that the driver calls only after the result is
+// written, so the numbers behind a red run are on disk. A failed bench
+// does not stop the rest; the exit status is non-zero and the error
+// names each failure. -smoke runs every bench on a small shape (a 1%
+// corpus, one timed round) under the same gates.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"leishen/internal/archive"
@@ -54,8 +39,8 @@ import (
 	"leishen/internal/world"
 )
 
-// Result is the BENCH_scan.json schema.
-type Result struct {
+// ScanResult is the BENCH_scan.json schema.
+type ScanResult struct {
 	// Corpus provenance.
 	Seed     int64 `json:"seed"`
 	ScalePct int   `json:"scale_pct"`
@@ -69,7 +54,7 @@ type Result struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// Steady-state heap allocations per transaction with a reused
 	// core.Arena (the engine's per-worker configuration), and the budget
-	// the -scan-gate enforces on it.
+	// the gate enforces on it.
 	AllocsPerTx  float64 `json:"allocs_per_tx"`
 	AllocsBudget float64 `json:"allocs_budget"`
 	// FastPathHitRate is the fraction of counted uint256 operations that
@@ -83,6 +68,10 @@ type Result struct {
 	// (gomaxprocs 1) the curve is flat and the Speedup figure above says
 	// nothing about multi-core gains.
 	Scaling []ScalePoint `json:"scaling"`
+
+	// baseline is the committed result the gate compares throughput
+	// against, nil when there is none.
+	baseline *ScanResult
 }
 
 // ScalePoint is one row of the worker-scaling table. GOMAXPROCS is
@@ -93,6 +82,15 @@ type ScalePoint struct {
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	TxPerSec   float64 `json:"tx_per_sec"`
 }
+
+// The scan gate: steady-state allocations stay within allocsBudget per
+// transaction, and sequential throughput stays at or above
+// minSeqFraction of the committed scanBaseline.
+const (
+	allocsBudget   = 2.0
+	minSeqFraction = 0.9
+	scanBaseline   = "BENCH_scan.json"
+)
 
 // ArchiveResult is the BENCH_archive.json schema.
 type ArchiveResult struct {
@@ -128,229 +126,197 @@ type ArchiveResult struct {
 	Rounds int `json:"rounds"`
 }
 
+// bench is one named entry of the registry; run measures and returns
+// the result the driver writes as BENCH_<name>.json.
+type bench struct {
+	name string
+	run  func(smoke bool) (result, error)
+}
+
+// registry is every bench, in the order a bare `benchjson` runs them.
+var registry = []bench{
+	{"scan", benchScan},
+	{"archive", benchArchive},
+	{"lint", benchLint},
+	{"serve", benchServe},
+	{"metrics", benchMetrics},
+	{"fault", benchFault},
+}
+
+// result is a bench's JSON document; summary is its one-line digest for
+// stderr.
+type result interface{ summary() string }
+
+// gated is a result that carries a verdict. The driver calls gate only
+// after the result is written; notes that are not failures go to log.
+type gated interface{ gate(log io.Writer) error }
+
 func main() {
-	if err := run(); err != nil {
+	smoke := flag.Bool("smoke", false, "small shapes and one timed round, under the same gates")
+	out := flag.String("o", ".", "directory for BENCH_<name>.json, or - for stdout")
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchjson [-smoke] [-o DIR|-] [name...]\nbenches (none named runs all): %s\n", benchNames())
+		flag.PrintDefaults()
+	}
+	flag.Parse()
+	benches, err := selectBenches(flag.Args())
+	if err == nil {
+		err = runBenches(benches, *smoke, *out)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		seed     = flag.Int64("seed", 7, "corpus seed")
-		scale    = flag.Int("scale", 2, "corpus scale percent")
-		workers  = flag.Int("workers", 0, "parallel pass pool size (0 = GOMAXPROCS)")
-		out      = flag.String("out", "BENCH_scan.json", "scan output path (- for stdout, \"\" to skip)")
-		arcOut   = flag.String("archive-out", "BENCH_archive.json", "archive output path (- for stdout, \"\" to skip)")
-		lintOut  = flag.String("lint-out", "BENCH_lint.json", "lint timing output path (- for stdout, \"\" to skip)")
-		serveOut = flag.String("serve-out", "BENCH_serve.json", "serve output path (- for stdout, \"\" to skip)")
-		metOut   = flag.String("metrics-out", "BENCH_metrics.json", "metrics overhead output path (- for stdout, \"\" to skip); the pass fails if instrumentation costs >3% throughput or allocates per tx")
-		faultOut = flag.String("fault-out", "BENCH_fault.json", "crash-consistency torture output path (- for stdout, \"\" to skip); the pass hard-fails on any invariant violation")
-		smoke    = flag.Bool("smoke", false, "tiny corpus, single round (CI sanity gate)")
-		scanGate = flag.Bool("scan-gate", false, "hard-fail when allocs/tx exceeds -alloc-budget or sequential throughput regresses >10% vs -baseline")
-		budget   = flag.Float64("alloc-budget", 2.0, "steady-state allocation budget per transaction enforced by -scan-gate")
-		baseline = flag.String("baseline", "BENCH_scan.json", "committed result the -scan-gate compares throughput against (skipped when corpus shape differs)")
-	)
-	flag.Parse()
-
-	rounds := 5
-	if *smoke {
-		*scale = 1
-		rounds = 1
+// selectBenches maps command-line names to registry entries, in the
+// order given; no names selects the whole registry.
+func selectBenches(names []string) ([]bench, error) {
+	if len(names) == 0 {
+		return registry, nil
 	}
-
-	// The scan pass is the only one that needs the generated corpus, so
-	// -out "" skips corpus generation entirely — `-out "" -serve-out -`
-	// measures just the serve path in seconds, not minutes.
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "generating corpus (seed %d, scale %d%%)...\n", *seed, *scale)
-		c, err := world.Generate(world.Config{Seed: *seed, ScalePct: *scale})
-		if err != nil {
-			return err
+	var sel []bench
+	for i, name := range names {
+		if slices.Contains(names[:i], name) {
+			return nil, fmt.Errorf("bench %q named twice", name)
 		}
-		det := core.NewDetector(c.Env.Chain, c.Env.Registry, core.Options{
-			Simplify: simplify.Options{WETH: c.Env.WETH},
-		})
-
-		res := Result{
-			Seed:       *seed,
-			ScalePct:   *scale,
-			Txs:        len(c.Receipts),
-			Workers:    scan.Options{Workers: *workers}.ResolvedWorkers(len(c.Receipts)),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Rounds:     rounds,
+		j := slices.IndexFunc(registry, func(b bench) bool { return b.name == name })
+		if j < 0 {
+			return nil, fmt.Errorf("unknown bench %q (known: %s)", name, benchNames())
 		}
+		sel = append(sel, registry[j])
+	}
+	return sel, nil
+}
 
-		// Warm every cache (tagger memo, scratch growth) before timing.
-		scan.Scan(det, c.Receipts, scan.Options{Workers: 1})
+func benchNames() string {
+	names := make([]string, len(registry))
+	for i, b := range registry {
+		names[i] = b.name
+	}
+	return strings.Join(names, ", ")
+}
 
-		res.SeqTxPerSec = timeScan(det, c, scan.Options{Workers: 1}, rounds)
-		res.ParTxPerSec = timeScan(det, c, scan.Options{Workers: *workers}, rounds)
-		if res.SeqTxPerSec > 0 {
-			res.Speedup = res.ParTxPerSec / res.SeqTxPerSec
-		}
-		res.AllocsPerTx = allocsPerTx(det, c)
-		res.AllocsBudget = *budget
-		res.FastPathHitRate = fastPathHitRate(det, c)
-		res.Scaling = scalingTable(det, c, res.Workers, rounds)
-
-		// The result is written before any gate verdict, so the numbers
-		// behind a red CI run are on disk to read.
-		if err := emitJSON(res, *out); err != nil {
-			return err
-		}
-		if *out != "-" {
-			fmt.Fprintf(os.Stderr, "seq %.0f tx/s, par %.0f tx/s (%.2fx at %d workers, GOMAXPROCS %d), %.3f allocs/tx, %.1f%% fast-path hits -> %s\n",
-				res.SeqTxPerSec, res.ParTxPerSec, res.Speedup, res.Workers, res.GOMAXPROCS, res.AllocsPerTx, 100*res.FastPathHitRate, *out)
-		}
-		if *scanGate {
-			if err := gateScan(res, *budget, *baseline); err != nil {
-				return err
-			}
+// runBenches runs each bench in turn and writes its result to dir ("-"
+// for stdout). A bench that fails to run, or whose gate fails, does not
+// stop the rest; the returned error lists every failure.
+func runBenches(benches []bench, smoke bool, dir string) error {
+	var failed []string
+	for _, b := range benches {
+		if err := runBench(b, smoke, dir); err != nil {
+			failed = append(failed, b.name+": "+err.Error())
 		}
 	}
-
-	if *arcOut != "" {
-		ares, err := benchArchive(*smoke, rounds)
-		if err != nil {
-			return err
-		}
-		if err := emitJSON(ares, *arcOut); err != nil {
-			return err
-		}
-		if *arcOut != "-" {
-			fmt.Fprintf(os.Stderr, "archive: %d records, append %.0f rec/s (batched %.0f), reopen replay %.1f ms / indexed %.2f ms (%.1fx), select %.0f q/s, %d segments -> %s\n",
-				ares.Records, ares.AppendPerSec, ares.BatchedAppendPerSec, ares.ReopenMillis, ares.ReopenIndexedMillis,
-				ares.ReopenSpeedup, ares.SelectPrunedPerSec, ares.Segments, *arcOut)
-		}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d of %d bench(es) failed:\n  %s", len(failed), len(benches), strings.Join(failed, "\n  "))
 	}
+	return nil
+}
 
-	if *lintOut != "" {
-		// Smoke keeps the gate honest without paying for a whole-module
-		// type check: one small leaf package.
-		patterns := []string{"./..."}
-		if *smoke {
-			patterns = []string{"./internal/uint256"}
-		}
-		lres, err := benchLint(patterns, rounds)
-		if err != nil {
-			return err
-		}
-		if err := emitJSON(lres, *lintOut); err != nil {
-			return err
-		}
-		if *lintOut != "-" {
-			fmt.Fprintf(os.Stderr, "lint: %d package(s) loaded in %.0f ms, %d analyzers in %.1f ms, %d finding(s) -> %s\n",
-				lres.Packages, lres.LoadMillis, len(lres.Analyzers), lres.TotalMillis, lres.Findings, *lintOut)
-		}
+func runBench(b bench, smoke bool, dir string) error {
+	res, err := b.run(smoke)
+	if err != nil {
+		return err
 	}
-
-	if *metOut != "" {
-		mres, err := benchMetrics(*seed, *scale, rounds)
-		// The gate result is written even when the gate fails, so the
-		// numbers behind a red CI run are on disk to read.
-		if mres != nil {
-			if werr := emitJSON(mres, *metOut); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if *metOut != "-" {
-			fmt.Fprintf(os.Stderr, "metrics: bare %.0f tx/s vs instrumented %.0f (%.2f%% overhead, budget %.1f%%), %+.3f extra allocs/tx, %d families in %d exposition bytes -> %s\n",
-				mres.BareTxPerSec, mres.InstrTxPerSec, mres.OverheadPct, mres.MaxOverheadPct,
-				mres.ExtraAllocsPerTx, mres.ExpositionFamilies, mres.ExpositionBytes, *metOut)
-		}
+	raw, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return err
 	}
-
-	if *faultOut != "" {
-		if err := runFaultPass(*faultOut); err != nil {
-			return err
-		}
+	raw = append(raw, '\n')
+	path := "-"
+	if dir == "-" {
+		_, err = os.Stdout.Write(raw)
+	} else {
+		path = filepath.Join(dir, "BENCH_"+b.name+".json")
+		err = os.WriteFile(path, raw, 0o644)
 	}
-
-	if *serveOut != "" {
-		sres, err := benchServe(*smoke, rounds)
-		if err != nil {
-			return err
-		}
-		if err := emitJSON(sres, *serveOut); err != nil {
-			return err
-		}
-		if *serveOut != "-" {
-			fmt.Fprintf(os.Stderr, "serve: %d records, /reports %.0f q/s, /reports/{tx} %.0f q/s, %.2f allocs/list-req (ceiling %.0f) -> %s\n",
-				sres.Records, sres.Raw.List.QPS, sres.Raw.Get.QPS,
-				sres.Raw.List.AllocsPerReq, sres.ListAllocsCeiling, *serveOut)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "%s: %s -> %s\n", b.name, res.summary(), path)
+	if g, ok := res.(gated); ok {
+		if err := g.gate(os.Stderr); err != nil {
+			return fmt.Errorf("gate: %w", err)
 		}
 	}
 	return nil
 }
 
-// emitJSON writes v as indented JSON to path ("-" for stdout).
-func emitJSON(v any, path string) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
+func timedRounds(smoke bool) int {
+	if smoke {
+		return 1
 	}
-	raw = append(raw, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(raw)
-		return err
+	return 5
+}
+
+// corpus is the generated corpus the scan and metrics benches measure,
+// with the config that generated it and a detector over its chain.
+type corpus struct {
+	world.Config
+	*world.Corpus
+	det *core.Detector
+}
+
+// shared is generated once per process: generation costs more than
+// either bench's timing.
+var shared *corpus
+
+func sharedCorpus(smoke bool) (*corpus, error) {
+	cfg := world.Config{Seed: 7, ScalePct: 2}
+	if smoke {
+		cfg.ScalePct = 1
 	}
-	return os.WriteFile(path, raw, 0o644)
+	if shared == nil || shared.Config != cfg {
+		fmt.Fprintf(os.Stderr, "generating corpus (seed %d, scale %d%%)...\n", cfg.Seed, cfg.ScalePct)
+		c, err := world.Generate(cfg)
+		if err != nil {
+			return nil, err
+		}
+		det := core.NewDetector(c.Env.Chain, c.Env.Registry, core.Options{
+			Simplify: simplify.Options{WETH: c.Env.WETH},
+		})
+		shared = &corpus{cfg, c, det}
+	}
+	return shared, nil
+}
+
+// allocsPer returns the heap allocations one call of f makes, divided by
+// n, with GC debt drained first. Callers warm the path beforehand, so
+// the figure is the steady state.
+func allocsPer(n int, f func()) float64 {
+	if n == 0 {
+		return 0
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
 }
 
 // benchArchive populates a throwaway archive with synthetic report
 // records at the follower's cadence and times append (both durability
 // cadences), reopen (replay and sidecar-indexed) and Select.
-func benchArchive(smoke bool, rounds int) (*ArchiveResult, error) {
-	res := &ArchiveResult{
-		Records:         100_000,
-		CheckpointEvery: 512,
-		SyncEvery:       8,
-		SegmentBytes:    8 << 20,
-		Rounds:          rounds,
-	}
+func benchArchive(smoke bool) (result, error) {
+	res := archiveShape(100_000)
 	if smoke {
 		res.Records = 5_000
 	}
-	// A representative mid-size detection report payload: the archived
-	// JSON for a benign screened transaction runs a few hundred bytes.
-	payload := []byte(`{"txHash":"0x0000000000000000000000000000000000000000000000000000000000000000",` +
-		`"block":0,"success":true,"isFlashLoanTx":true,"isAttack":false,` +
-		`"loans":[{"provider":"Uniswap","token":"0x00","amount":"40000000000000"}],` +
-		`"matches":[],"trades":12,"transfers":31,"elapsedMicros":184}`)
+	res.Rounds = timedRounds(smoke)
+	payload := benchReportPayload()
 	res.PayloadBytes = len(payload)
 
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < res.Rounds; round++ {
 		dir, err := os.MkdirTemp("", "leishen-bench-archive-")
 		if err != nil {
 			return nil, err
 		}
-		fig, err := archiveRound(dir, res, payload)
+		err = archiveRound(dir, res, payload)
 		os.RemoveAll(dir)
 		if err != nil {
 			return nil, err
 		}
-		// Keep the best (least noise-disturbed) figure of each round.
-		best := func(cur *float64, v float64) {
-			if v > *cur {
-				*cur = v
-			}
-		}
-		best(&res.AppendPerSec, float64(res.Records)/fig.appendSec)
-		best(&res.BatchedAppendPerSec, float64(res.Records)/fig.batchedSec)
-		best(&res.SelectPrunedPerSec, fig.selectQPS)
-		if ms := fig.replaySec * 1e3; res.ReopenMillis == 0 || ms < res.ReopenMillis {
-			res.ReopenMillis = ms
-			res.ReopenRecPerSec = float64(res.Records) / fig.replaySec
-		}
-		if ms := fig.indexedSec * 1e3; res.ReopenIndexedMillis == 0 || ms < res.ReopenIndexedMillis {
-			res.ReopenIndexedMillis = ms
-		}
-		res.Segments = fig.segs
-		res.DirBytes = fig.dirBytes
 	}
 	if res.ReopenIndexedMillis > 0 {
 		res.ReopenSpeedup = res.ReopenMillis / res.ReopenIndexedMillis
@@ -358,15 +324,33 @@ func benchArchive(smoke bool, rounds int) (*ArchiveResult, error) {
 	return res, nil
 }
 
-// roundFigures is one archive round's raw timings.
-type roundFigures struct {
-	appendSec  float64 // per-block synced cadence
-	batchedSec float64 // group-commit cadence
-	replaySec  float64 // full-replay reopen
-	indexedSec float64 // sidecar-indexed reopen
-	selectQPS  float64
-	segs       int
-	dirBytes   int64
+func (r *ArchiveResult) summary() string {
+	return fmt.Sprintf("%d records, append %.0f rec/s (batched %.0f), reopen replay %.1f ms / indexed %.2f ms (%.1fx), select %.0f q/s, %d segments",
+		r.Records, r.AppendPerSec, r.BatchedAppendPerSec, r.ReopenMillis, r.ReopenIndexedMillis,
+		r.ReopenSpeedup, r.SelectPrunedPerSec, r.Segments)
+}
+
+// archiveShape is the archive workload the archive and serve benches
+// populate: records synthetic reports at the follower's cadences.
+func archiveShape(records int) *ArchiveResult {
+	return &ArchiveResult{Records: records, CheckpointEvery: 512, SyncEvery: 8, SegmentBytes: 8 << 20}
+}
+
+// benchReportPayload is the payload of every record the archive and
+// serve benches write: a representative mid-size detection report (the
+// archived JSON for a benign screened transaction runs a few hundred
+// bytes).
+func benchReportPayload() []byte {
+	return []byte(`{"txHash":"0x0000000000000000000000000000000000000000000000000000000000000000",` +
+		`"block":0,"success":true,"isFlashLoanTx":true,"isAttack":false,` +
+		`"loans":[{"provider":"Uniswap","token":"0x00","amount":"40000000000000"}],` +
+		`"matches":[],"trades":12,"transfers":31,"elapsedMicros":184}`)
+}
+
+// benchTxHash is the hash of the i-th record populate writes, so the
+// serve bench can build point lookups without reading the archive.
+func benchTxHash(i int) types.Hash {
+	return types.HashFromData([]byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
 }
 
 // populate appends res.Records synthetic reports into a fresh archive
@@ -379,6 +363,11 @@ func populate(dir string, res *ArchiveResult, payload []byte, batched bool) (sec
 	if err != nil {
 		return 0, 0, err
 	}
+	defer func() {
+		if cerr := arc.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	attackLo := res.Records / 2
 	attackHi := attackLo + res.Records/100
 	start := time.Now()
@@ -387,13 +376,12 @@ func populate(dir string, res *ArchiveResult, payload []byte, batched bool) (sec
 	for i := 0; i < res.Records; i++ {
 		// Two records per block, like a busy screened chain.
 		rec.Block = uint64(1 + i/2)
-		rec.TxHash = types.HashFromData([]byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
+		rec.TxHash = benchTxHash(i)
 		rec.Flags = archive.FlagFlashLoan
 		if i >= attackLo && i < attackHi {
 			rec.Flags |= archive.FlagAttack
 		}
 		if err := arc.AppendReport(&rec); err != nil {
-			arc.Close()
 			return 0, 0, err
 		}
 		if (i+1)%res.CheckpointEvery == 0 {
@@ -407,38 +395,40 @@ func populate(dir string, res *ArchiveResult, payload []byte, batched bool) (sec
 				err = arc.AppendCheckpoint(cp)
 			}
 			if err != nil {
-				arc.Close()
 				return 0, 0, err
 			}
 		}
 	}
 	if err := arc.Sync(); err != nil {
-		arc.Close()
 		return 0, 0, err
 	}
-	sec = time.Since(start).Seconds()
-	segs = arc.Segments()
-	return sec, segs, arc.Close()
+	return time.Since(start).Seconds(), arc.Segments(), nil
 }
 
-// archiveRound runs one full measurement cycle in dir.
-func archiveRound(dir string, res *ArchiveResult, payload []byte) (fig roundFigures, err error) {
+// archiveRound runs one full measurement cycle in dir, folding each
+// figure into res where it beats the best (least noise-disturbed) round
+// so far.
+func archiveRound(dir string, res *ArchiveResult, payload []byte) error {
 	syncedDir := filepath.Join(dir, "synced")
-	batchedDir := filepath.Join(dir, "batched")
-	if fig.appendSec, fig.segs, err = populate(syncedDir, res, payload, false); err != nil {
-		return fig, err
+	sec, segs, err := populate(syncedDir, res, payload, false)
+	if err != nil {
+		return err
 	}
-	if fig.batchedSec, _, err = populate(batchedDir, res, payload, true); err != nil {
-		return fig, err
+	res.AppendPerSec = max(res.AppendPerSec, float64(res.Records)/sec)
+	res.Segments = segs
+	if sec, _, err = populate(filepath.Join(dir, "batched"), res, payload, true); err != nil {
+		return err
 	}
+	res.BatchedAppendPerSec = max(res.BatchedAppendPerSec, float64(res.Records)/sec)
 
 	entries, err := os.ReadDir(syncedDir)
 	if err != nil {
-		return fig, err
+		return err
 	}
+	res.DirBytes = 0
 	for _, e := range entries {
 		if info, ierr := e.Info(); ierr == nil {
-			fig.dirBytes += info.Size()
+			res.DirBytes += info.Size()
 		}
 	}
 
@@ -446,60 +436,60 @@ func archiveRound(dir string, res *ArchiveResult, payload []byte) (fig roundFigu
 	// pre-sidecar behaviour, and still the fallback when sidecars are
 	// missing or stale). Each path is timed as the best of a few opens —
 	// a single open is at the mercy of GC pauses from the corpus heap.
-	var replayed *archive.Archive
-	fig.replaySec, replayed, err = timeOpen(syncedDir, archive.Options{SegmentBytes: res.SegmentBytes, NoSidecars: true}, res.Records)
+	sec, replayed, err := timeOpen(syncedDir, archive.Options{SegmentBytes: res.SegmentBytes, NoSidecars: true}, res.Records)
 	if err != nil {
-		return fig, err
+		return err
 	}
 	if err := replayed.Close(); err != nil {
-		return fig, err
+		return err
+	}
+	if res.ReopenMillis == 0 || sec*1e3 < res.ReopenMillis {
+		res.ReopenMillis = sec * 1e3
+		res.ReopenRecPerSec = float64(res.Records) / sec
 	}
 
 	// The indexed path: every segment (active tail included, sealed by
 	// the clean Close) loads from its sidecar.
-	var indexed *archive.Archive
-	fig.indexedSec, indexed, err = timeOpen(syncedDir, archive.Options{SegmentBytes: res.SegmentBytes}, res.Records)
+	sec, indexed, err := timeOpen(syncedDir, archive.Options{SegmentBytes: res.SegmentBytes}, res.Records)
 	if err != nil {
-		return fig, err
+		return err
+	}
+	if res.ReopenIndexedMillis == 0 || sec*1e3 < res.ReopenIndexedMillis {
+		res.ReopenIndexedMillis = sec * 1e3
 	}
 
 	// Select: first matches of the rare flag, the "what did we flag"
 	// query a monitor asks constantly.
-	query := archive.Query{Flags: archive.FlagAttack, Limit: 10}
-	fig.selectQPS, err = timeSelect(indexed, query)
+	qps, err := timeSelect(indexed, archive.Query{Flags: archive.FlagAttack, Limit: 10})
 	if err != nil {
 		indexed.Close()
-		return fig, err
+		return err
 	}
-	return fig, indexed.Close()
+	res.SelectPrunedPerSec = max(res.SelectPrunedPerSec, qps)
+	return indexed.Close()
 }
 
 // timeOpen opens dir a few times, returning the fastest open's wall
 // time and the final archive, left open for the caller.
-func timeOpen(dir string, opts archive.Options, want int) (float64, *archive.Archive, error) {
-	const iters = 3
-	var best float64
-	var arc *archive.Archive
-	for i := 0; i < iters; i++ {
+func timeOpen(dir string, opts archive.Options, want int) (best float64, arc *archive.Archive, err error) {
+	for i := 0; i < 3; i++ {
 		if arc != nil {
 			if err := arc.Close(); err != nil {
 				return 0, nil, err
 			}
 		}
 		start := time.Now()
-		a, err := archive.Open(dir, opts)
-		if err != nil {
+		if arc, err = archive.Open(dir, opts); err != nil {
 			return 0, nil, err
 		}
 		sec := time.Since(start).Seconds()
-		if got := a.Count(); got != want {
-			a.Close()
+		if got := arc.Count(); got != want {
+			arc.Close()
 			return 0, nil, fmt.Errorf("reopen recovered %d report records, want %d", got, want)
 		}
 		if best == 0 || sec < best {
 			best = sec
 		}
-		arc = a
 	}
 	return best, arc, nil
 }
@@ -520,17 +510,73 @@ func timeSelect(arc *archive.Archive, q archive.Query) (float64, error) {
 	return iters / time.Since(start).Seconds(), nil
 }
 
+// benchScan times a sequential (workers=1) and a parallel (GOMAXPROCS
+// workers) sweep over the shared corpus, and the steady-state heap
+// allocations per transaction of the arena-reusing hot path. On a
+// single-core host the parallel figure tracks the sequential one; the
+// gain appears with GOMAXPROCS > 1, hence the scaling table.
+func benchScan(smoke bool) (result, error) {
+	// Read the baseline before measuring: under -o . the driver writes
+	// this run's result over the same file before the gate runs.
+	base, err := readScanBaseline()
+	if err != nil {
+		return nil, err
+	}
+	c, err := sharedCorpus(smoke)
+	if err != nil {
+		return nil, err
+	}
+	rounds := timedRounds(smoke)
+	res := &ScanResult{
+		Seed:         c.Seed,
+		ScalePct:     c.ScalePct,
+		Txs:          len(c.Receipts),
+		Workers:      scan.Options{}.ResolvedWorkers(len(c.Receipts)),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		AllocsBudget: allocsBudget,
+		Rounds:       rounds,
+		baseline:     base,
+	}
+
+	// Warm every cache (tagger memo, scratch growth) before timing.
+	scan.Scan(c.det, c.Receipts, scan.Options{Workers: 1})
+
+	res.SeqTxPerSec = timeScan(c, scan.Options{Workers: 1}, rounds)
+	res.ParTxPerSec = timeScan(c, scan.Options{}, rounds)
+	if res.SeqTxPerSec > 0 {
+		res.Speedup = res.ParTxPerSec / res.SeqTxPerSec
+	}
+	res.AllocsPerTx = allocsPerTx(c)
+	res.FastPathHitRate = fastPathHitRate(c)
+	res.Scaling = scalingTable(c, res.Workers, rounds)
+	return res, nil
+}
+
+// readScanBaseline loads the committed scan result, nil when there is
+// none.
+func readScanBaseline() (*ScanResult, error) {
+	raw, err := os.ReadFile(scanBaseline)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("read baseline: %w", err)
+	}
+	var base ScanResult
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return nil, fmt.Errorf("parse baseline %s: %w", scanBaseline, err)
+	}
+	return &base, nil
+}
+
 // scalingTable times a full scan at each worker count. The sweep always
 // covers {1, 2, 4, 8} — even on a single-core host, where the curve is
 // flat — and keeps doubling up to the larger of GOMAXPROCS and the
 // resolved pool size when that goes higher. Each row records the
 // GOMAXPROCS it ran under, so a flat curve carries its own explanation
 // in the data instead of a prose caveat.
-func scalingTable(det *core.Detector, c *world.Corpus, resolved, rounds int) []ScalePoint {
-	maxW := runtime.GOMAXPROCS(0)
-	if resolved > maxW {
-		maxW = resolved
-	}
+func scalingTable(c *corpus, resolved, rounds int) []ScalePoint {
+	maxW := max(runtime.GOMAXPROCS(0), resolved)
 	counts := []int{1, 2, 4, 8}
 	for w := 16; w <= maxW; w *= 2 {
 		counts = append(counts, w)
@@ -538,15 +584,12 @@ func scalingTable(det *core.Detector, c *world.Corpus, resolved, rounds int) []S
 	if maxW > counts[len(counts)-1] {
 		counts = append(counts, maxW)
 	}
-	if rounds > 3 {
-		rounds = 3
-	}
 	table := make([]ScalePoint, 0, len(counts))
 	for _, w := range counts {
 		table = append(table, ScalePoint{
 			Workers:    w,
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			TxPerSec:   timeScan(det, c, scan.Options{Workers: w}, rounds),
+			TxPerSec:   timeScan(c, scan.Options{Workers: w}, min(rounds, 3)),
 		})
 	}
 	return table
@@ -554,7 +597,7 @@ func scalingTable(det *core.Detector, c *world.Corpus, resolved, rounds int) []S
 
 // timeScan runs `rounds` full scans and returns the best throughput —
 // the round least disturbed by GC or scheduler noise.
-func timeScan(det *core.Detector, c *world.Corpus, opts scan.Options, rounds int) float64 {
+func timeScan(c *corpus, opts scan.Options, rounds int) float64 {
 	best := 0.0
 	for i := 0; i < rounds; i++ {
 		// Drain GC debt before the clock starts: the hot path allocates
@@ -563,11 +606,9 @@ func timeScan(det *core.Detector, c *world.Corpus, opts scan.Options, rounds int
 		// instead of amortizing across all of them.
 		runtime.GC()
 		start := time.Now()
-		scan.Scan(det, c.Receipts, opts)
+		scan.Scan(c.det, c.Receipts, opts)
 		if d := time.Since(start); d > 0 {
-			if tps := float64(len(c.Receipts)) / d.Seconds(); tps > best {
-				best = tps
-			}
+			best = max(best, float64(len(c.Receipts))/d.Seconds())
 		}
 	}
 	return best
@@ -576,39 +617,27 @@ func timeScan(det *core.Detector, c *world.Corpus, opts scan.Options, rounds int
 // allocsPerTx measures steady-state heap allocations per transaction of
 // the arena-reusing detection path, the configuration each pool worker
 // runs in.
-func allocsPerTx(det *core.Detector, c *world.Corpus) float64 {
-	if len(c.Receipts) == 0 {
-		return 0
-	}
+func allocsPerTx(c *corpus) float64 {
 	s := core.NewArena()
-	// Warm the arena to steady-state capacity.
+	inspectAll(c, s) // warm the arena to steady-state capacity
+	return allocsPer(len(c.Receipts), func() { inspectAll(c, s) })
+}
+
+// inspectAll runs every corpus receipt through the detector on arena s.
+func inspectAll(c *corpus, s *core.Arena) {
 	for _, r := range c.Receipts {
-		det.InspectScratch(r, s)
+		c.det.InspectScratch(r, s)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for _, r := range c.Receipts {
-		det.InspectScratch(r, s)
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(len(c.Receipts))
 }
 
 // fastPathHitRate sweeps the corpus once with uint256 fast-path
 // counting enabled and returns hits/(hits+falls). The pass is untimed
 // and single-goroutine so the atomic counters never disturb the
 // throughput figures.
-func fastPathHitRate(det *core.Detector, c *world.Corpus) float64 {
-	if len(c.Receipts) == 0 {
-		return 0
-	}
-	s := core.NewArena()
+func fastPathHitRate(c *corpus) float64 {
 	uint256.ResetFastPathCounts()
 	uint256.SetFastPathCounting(true)
-	for _, r := range c.Receipts {
-		det.InspectScratch(r, s)
-	}
+	inspectAll(c, core.NewArena())
 	uint256.SetFastPathCounting(false)
 	hits, falls := uint256.FastPathCounts()
 	if hits+falls == 0 {
@@ -617,40 +646,34 @@ func fastPathHitRate(det *core.Detector, c *world.Corpus) float64 {
 	return float64(hits) / float64(hits+falls)
 }
 
-// gateScan enforces the scan-performance contract: steady-state
-// allocations within budget, and sequential throughput within 10% of
-// the committed baseline (compared only when the baseline ran the same
-// corpus — seed, scale and transaction count — so a corpus change never
-// masquerades as a regression).
-func gateScan(res Result, budget float64, baselinePath string) error {
-	if res.AllocsPerTx > budget {
-		return fmt.Errorf("scan gate: %.3f allocs/tx exceeds budget %.1f", res.AllocsPerTx, budget)
+func (r *ScanResult) summary() string {
+	return fmt.Sprintf("seq %.0f tx/s, par %.0f tx/s (%.2fx at %d workers, GOMAXPROCS %d), %.3f allocs/tx, %.1f%% fast-path hits",
+		r.SeqTxPerSec, r.ParTxPerSec, r.Speedup, r.Workers, r.GOMAXPROCS, r.AllocsPerTx, 100*r.FastPathHitRate)
+}
+
+// gate enforces the scan-performance contract. Throughput is compared
+// only when the baseline ran the same corpus — seed, scale and
+// transaction count — so a corpus change never masquerades as a
+// regression; otherwise the check is skipped with a note.
+func (r *ScanResult) gate(log io.Writer) error {
+	if r.AllocsPerTx > allocsBudget {
+		return fmt.Errorf("%.3f allocs/tx exceeds budget %.1f", r.AllocsPerTx, allocsBudget)
 	}
-	if baselinePath == "" {
+	base := r.baseline
+	if base == nil {
+		fmt.Fprintf(log, "scan gate: no baseline at %s, throughput check skipped\n", scanBaseline)
 		return nil
 	}
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		if os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "scan gate: no baseline at %s, throughput check skipped\n", baselinePath)
-			return nil
-		}
-		return fmt.Errorf("scan gate: read baseline: %w", err)
-	}
-	var base Result
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("scan gate: parse baseline %s: %w", baselinePath, err)
-	}
-	if base.Seed != res.Seed || base.ScalePct != res.ScalePct || base.Txs != res.Txs {
-		fmt.Fprintf(os.Stderr, "scan gate: baseline %s ran a different corpus (seed %d scale %d txs %d), throughput check skipped\n",
-			baselinePath, base.Seed, base.ScalePct, base.Txs)
+	if base.Seed != r.Seed || base.ScalePct != r.ScalePct || base.Txs != r.Txs {
+		fmt.Fprintf(log, "scan gate: baseline %s ran a different corpus (seed %d scale %d txs %d), throughput check skipped\n",
+			scanBaseline, base.Seed, base.ScalePct, base.Txs)
 		return nil
 	}
-	if floor := 0.9 * base.SeqTxPerSec; res.SeqTxPerSec < floor {
-		return fmt.Errorf("scan gate: seq throughput %.0f tx/s is below 90%% of baseline %.0f tx/s",
-			res.SeqTxPerSec, base.SeqTxPerSec)
+	if r.SeqTxPerSec < minSeqFraction*base.SeqTxPerSec {
+		return fmt.Errorf("seq throughput %.0f tx/s is below %.0f%% of baseline %.0f tx/s",
+			r.SeqTxPerSec, 100*minSeqFraction, base.SeqTxPerSec)
 	}
-	fmt.Fprintf(os.Stderr, "scan gate: ok (%.3f allocs/tx <= %.1f, seq %.0f tx/s vs baseline %.0f)\n",
-		res.AllocsPerTx, budget, res.SeqTxPerSec, base.SeqTxPerSec)
+	fmt.Fprintf(log, "scan gate: ok (%.3f allocs/tx <= %.1f, seq %.0f tx/s vs baseline %.0f)\n",
+		r.AllocsPerTx, allocsBudget, r.SeqTxPerSec, base.SeqTxPerSec)
 	return nil
 }

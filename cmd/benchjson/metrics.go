@@ -4,23 +4,21 @@
 // pairs and takes the median pair ratio as the overhead (noise strikes
 // both arms of a pair alike), and measures steady-state allocations
 // per transaction through scan.Scan for both.
-// The pass HARD-FAILS (non-zero exit, which fails `make check` through
+// Its gate HARD-FAILS (non-zero exit, which fails `make check` through
 // bench-metrics-smoke) when instrumentation costs more than
 // maxOverheadPct of throughput or allocates on the per-transaction
 // path. BENCH_metrics.json is the committed record of the proof.
 package main
 
 import (
+	"bytes"
 	"fmt"
-	"os"
+	"io"
 	"runtime"
 	"sort"
 
-	"leishen/internal/core"
 	"leishen/internal/metrics"
 	"leishen/internal/scan"
-	"leishen/internal/simplify"
-	"leishen/internal/world"
 )
 
 // maxOverheadPct is the acceptance ceiling: the instrumented scan must
@@ -67,28 +65,23 @@ type MetricsResult struct {
 	Rounds              int     `json:"rounds"`
 }
 
-// benchMetrics measures bare vs. instrumented scan cost and enforces
-// the overhead gate. A smoke run uses the same gate on a smaller
-// corpus — the proof is cheap enough to pay on every `make check`.
-func benchMetrics(seed int64, scale, rounds int) (*MetricsResult, error) {
-	// A scan pass over the smoke corpus is tens of milliseconds, so
-	// extra rounds are cheap — and best-of-N needs enough N that BOTH
-	// arms hit a quiet window on a noisy single-core host. Fewer rounds
-	// would make the 3% gate a coin flip on scheduler jitter.
-	if rounds < 7 {
-		rounds = 7
-	}
-	fmt.Fprintf(os.Stderr, "metrics: generating corpus (seed %d, scale %d%%)...\n", seed, scale)
-	c, err := world.Generate(world.Config{Seed: seed, ScalePct: scale})
+// benchMetrics measures bare vs. instrumented scan cost on the shared
+// corpus. A smoke run is judged by the same gate on a smaller corpus —
+// the proof is cheap enough to pay on every `make check`.
+func benchMetrics(smoke bool) (result, error) {
+	// More rounds than the other benches' five: a scan pass over the
+	// smoke corpus is tens of milliseconds, so extra rounds are cheap —
+	// and best-of-N needs enough N that BOTH arms hit a quiet window on a
+	// noisy single-core host. Fewer rounds would make the 3% gate a coin
+	// flip on scheduler jitter.
+	const rounds = 7
+	c, err := sharedCorpus(smoke)
 	if err != nil {
 		return nil, err
 	}
-	det := core.NewDetector(c.Env.Chain, c.Env.Registry, core.Options{
-		Simplify: simplify.Options{WETH: c.Env.WETH},
-	})
 	res := &MetricsResult{
-		Seed:                seed,
-		ScalePct:            scale,
+		Seed:                c.Seed,
+		ScalePct:            c.ScalePct,
 		Txs:                 len(c.Receipts),
 		MaxOverheadPct:      maxOverheadPct,
 		MaxExtraAllocsPerTx: maxExtraAllocsPerTx,
@@ -102,8 +95,8 @@ func benchMetrics(seed int64, scale, rounds int) (*MetricsResult, error) {
 	instr := scan.Options{Workers: 1, Metrics: m}
 
 	// Warm both arms (tagger memo, scratch growth, metric registration).
-	scan.Scan(det, c.Receipts, bare)
-	scan.Scan(det, c.Receipts, instr)
+	scan.Scan(c.det, c.Receipts, bare)
+	scan.Scan(c.det, c.Receipts, instr)
 
 	// Paired timing. Absolute throughput on this class of host swings
 	// tens of percent between moments, so comparing each arm's best (or
@@ -126,33 +119,23 @@ func benchMetrics(seed int64, scale, rounds int) (*MetricsResult, error) {
 			order[0], order[1] = instr, bare
 		}
 		for _, opts := range order {
-			tps := timeScan(det, c, opts, pairPasses)
+			tps := timeScan(c, opts, pairPasses)
 			if opts.Metrics != nil {
 				instrTps = tps
-				if tps > res.InstrTxPerSec {
-					res.InstrTxPerSec = tps
-				}
+				res.InstrTxPerSec = max(res.InstrTxPerSec, tps)
 			} else {
 				bareTps = tps
-				if tps > res.BareTxPerSec {
-					res.BareTxPerSec = tps
-				}
+				res.BareTxPerSec = max(res.BareTxPerSec, tps)
 			}
 		}
 		if bareTps > 0 {
 			ratios = append(ratios, instrTps/bareTps)
 		}
-	}
-	recompute := func() {
-		res.OverheadPct = (1 - medianOf(ratios)) * 100
-		if res.OverheadPct < 0 {
-			res.OverheadPct = 0
-		}
+		res.OverheadPct = max(0, (1-medianOf(ratios))*100)
 	}
 	for i := 0; i < rounds; i++ {
 		pair(i%2 == 1)
 	}
-	recompute()
 	// Converge before judging: while the gate would fail, run more
 	// pairs (bounded). Jitter that lands in a few pairs washes out of
 	// the median with more samples, while a real >3% cost persists no
@@ -160,42 +143,46 @@ func benchMetrics(seed int64, scale, rounds int) (*MetricsResult, error) {
 	for extra := 0; res.OverheadPct > maxOverheadPct && extra < 10; extra++ {
 		res.Rounds++
 		pair(extra%2 == 0)
-		recompute()
 	}
 
-	res.BareAllocsPerTx = allocsPerTxScan(det, c, bare)
-	res.InstrAllocsPerTx = allocsPerTxScan(det, c, instr)
+	res.BareAllocsPerTx = allocsPerTxScan(c, bare)
+	res.InstrAllocsPerTx = allocsPerTxScan(c, instr)
 	res.ExtraAllocsPerTx = res.InstrAllocsPerTx - res.BareAllocsPerTx
 
 	text := reg.AppendText(nil)
 	res.ExpositionBytes = len(text)
 	res.ExpositionFamilies = countFamilies(text)
 
-	if res.OverheadPct > maxOverheadPct {
-		return res, fmt.Errorf("metrics gate: instrumentation costs %.2f%% of scan throughput (bare %.0f tx/s, instrumented %.0f), over the %.1f%% budget",
-			res.OverheadPct, res.BareTxPerSec, res.InstrTxPerSec, maxOverheadPct)
-	}
-	if res.ExtraAllocsPerTx > maxExtraAllocsPerTx {
-		return res, fmt.Errorf("metrics gate: instrumentation allocates %.3f per tx (bare %.3f, instrumented %.3f) — the telemetry write path must be allocation-free",
-			res.ExtraAllocsPerTx, res.BareAllocsPerTx, res.InstrAllocsPerTx)
-	}
 	return res, nil
+}
+
+func (r *MetricsResult) summary() string {
+	return fmt.Sprintf("bare %.0f tx/s vs instrumented %.0f (%.2f%% overhead, budget %.1f%%), %+.3f extra allocs/tx, %d families in %d exposition bytes",
+		r.BareTxPerSec, r.InstrTxPerSec, r.OverheadPct, r.MaxOverheadPct,
+		r.ExtraAllocsPerTx, r.ExpositionFamilies, r.ExpositionBytes)
+}
+
+// gate fails when instrumentation costs more than maxOverheadPct of
+// scan throughput or allocates on the per-transaction path.
+func (r *MetricsResult) gate(io.Writer) error {
+	if r.OverheadPct > maxOverheadPct {
+		return fmt.Errorf("instrumentation costs %.2f%% of scan throughput (bare %.0f tx/s, instrumented %.0f), over the %.1f%% budget",
+			r.OverheadPct, r.BareTxPerSec, r.InstrTxPerSec, maxOverheadPct)
+	}
+	if r.ExtraAllocsPerTx > maxExtraAllocsPerTx {
+		return fmt.Errorf("instrumentation allocates %.3f per tx (bare %.3f, instrumented %.3f) — the telemetry write path must be allocation-free",
+			r.ExtraAllocsPerTx, r.BareAllocsPerTx, r.InstrAllocsPerTx)
+	}
+	return nil
 }
 
 // allocsPerTxScan measures steady-state heap allocations per
 // transaction of a full scan.Scan pass under opts — the same code path
 // for both arms, so the difference isolates the instrumentation.
-func allocsPerTxScan(det *core.Detector, c *world.Corpus, opts scan.Options) float64 {
-	if len(c.Receipts) == 0 {
-		return 0
-	}
-	scan.Scan(det, c.Receipts, opts) // warm
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	scan.Scan(det, c.Receipts, opts)
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(len(c.Receipts))
+func allocsPerTxScan(c *corpus, opts scan.Options) float64 {
+	scanAll := func() { scan.Scan(c.det, c.Receipts, opts) }
+	scanAll() // warm
+	return allocsPer(len(c.Receipts), scanAll)
 }
 
 // medianOf returns the median of xs (0 when empty). xs is sorted in
@@ -215,11 +202,9 @@ func medianOf(xs []float64) float64 {
 // countFamilies counts metric families in an exposition document by its
 // TYPE headers.
 func countFamilies(text []byte) int {
-	n := 0
-	for i := 0; i+6 <= len(text); i++ {
-		if (i == 0 || text[i-1] == '\n') && string(text[i:i+6]) == "# TYPE" {
-			n++
-		}
+	n := bytes.Count(text, []byte("\n# TYPE"))
+	if bytes.HasPrefix(text, []byte("# TYPE")) {
+		n++
 	}
 	return n
 }

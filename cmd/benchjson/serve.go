@@ -7,8 +7,8 @@
 // Before any timing, the harness checks every served body against
 // json.NewEncoder output for the value the route promises, computed
 // from the generator's record numbering rather than read back from the
-// archive, and holds the list route's allocations per request under a
-// per-shape ceiling. A violation is an error, not a bad number, so
+// archive. The gate fails on any body divergence, or when the list
+// route's allocations per request reach a per-shape ceiling, so
 // `make bench-serve-smoke` doubles as a correctness gate.
 package main
 
@@ -21,7 +21,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -48,6 +48,10 @@ type ServeResult struct {
 	// Raw is the zero-decode serving path: stored report bytes
 	// assembled into a pooled buffer and written with Content-Length.
 	Raw ServePathResult `json:"raw"`
+
+	// bodies is the encoder oracle's verdict, nil when every checked
+	// body matched.
+	bodies error
 }
 
 // ServePathResult groups one path's figures per endpoint.
@@ -79,13 +83,13 @@ const (
 
 // benchServe builds the archive corpus, checks every served body
 // against the encoder oracle, then measures the serving path.
-func benchServe(smoke bool, rounds int) (*ServeResult, error) {
+func benchServe(smoke bool) (result, error) {
 	res := &ServeResult{
 		Records:           100_000,
 		ListLimit:         1000,
 		Concurrency:       4,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
-		Rounds:            rounds,
+		Rounds:            min(timedRounds(smoke), 3),
 		ListAllocsCeiling: fullListAllocsCeiling,
 	}
 	listReqs, getReqs := 400, 4000
@@ -95,13 +99,10 @@ func benchServe(smoke bool, rounds int) (*ServeResult, error) {
 		res.ListAllocsCeiling = smokeListAllocsCeiling
 		listReqs, getReqs = 40, 400
 	}
-	if rounds > 3 {
-		res.Rounds = 3
-	}
 
 	// Reuse the archive bench's corpus generator: same synthetic report
 	// payload, same two-records-per-block cadence, group-commit ingest.
-	shape := &ArchiveResult{Records: res.Records, CheckpointEvery: 512, SyncEvery: 8, SegmentBytes: 8 << 20}
+	shape := archiveShape(res.Records)
 	payload := benchReportPayload()
 	res.PayloadBytes = len(payload)
 	dir, err := os.MkdirTemp("", "leishen-bench-serve-")
@@ -122,21 +123,16 @@ func benchServe(smoke bool, rounds int) (*ServeResult, error) {
 	s.SetArchive(arc)
 	h := s.Handler()
 
-	listURLs := benchListURLs(res)
-	getURLs := benchGetURLs(res)
-	if err := assertEncoderBodies(h, res, payload); err != nil {
-		return nil, err
+	var listURLs []string
+	for _, from := range benchListFroms(res) {
+		listURLs = append(listURLs, benchListURL(res, from))
 	}
+	getURLs := benchGetURLs(res)
+	res.bodies = assertEncoderBodies(h, res, payload)
 
-	// Allocation profile, handler-level (recorder, serial). A list
-	// request at or over the ceiling means the zero-decode plumbing
-	// regressed into copying.
+	// Allocation profile, handler-level (recorder, serial).
 	res.Raw.List.AllocsPerReq = allocsPerRequest(h, listURLs)
 	res.Raw.Get.AllocsPerReq = allocsPerRequest(h, getURLs)
-	if res.Raw.List.AllocsPerReq >= res.ListAllocsCeiling {
-		return nil, fmt.Errorf("/reports allocates %.2f/req, ceiling for this shape is %.0f",
-			res.Raw.List.AllocsPerReq, res.ListAllocsCeiling)
-	}
 
 	// Timed load over real HTTP, best round kept per endpoint.
 	for round := 0; round < res.Rounds; round++ {
@@ -150,19 +146,23 @@ func benchServe(smoke bool, rounds int) (*ServeResult, error) {
 	return res, nil
 }
 
-// benchReportPayload is the representative mid-size detection report
-// the archive bench also uses.
-func benchReportPayload() []byte {
-	return []byte(`{"txHash":"0x0000000000000000000000000000000000000000000000000000000000000000",` +
-		`"block":0,"success":true,"isFlashLoanTx":true,"isAttack":false,` +
-		`"loans":[{"provider":"Uniswap","token":"0x00","amount":"40000000000000"}],` +
-		`"matches":[],"trades":12,"transfers":31,"elapsedMicros":184}`)
+func (r *ServeResult) summary() string {
+	return fmt.Sprintf("%d records, /reports %.0f q/s, /reports/{tx} %.0f q/s, %.2f allocs/list-req (ceiling %.0f)",
+		r.Records, r.Raw.List.QPS, r.Raw.Get.QPS, r.Raw.List.AllocsPerReq, r.ListAllocsCeiling)
 }
 
-// benchTxHash mirrors populate's hash scheme, so point lookups can be
-// generated without reading the archive.
-func benchTxHash(i int) types.Hash {
-	return types.HashFromData([]byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)})
+// gate fails when a served body diverged from the encoder oracle, or
+// when a list request allocates at or over the shape's ceiling — the
+// zero-decode plumbing regressed into copying.
+func (r *ServeResult) gate(io.Writer) error {
+	if r.bodies != nil {
+		return r.bodies
+	}
+	if r.Raw.List.AllocsPerReq >= r.ListAllocsCeiling {
+		return fmt.Errorf("/reports allocates %.2f/req, ceiling for this shape is %.0f",
+			r.Raw.List.AllocsPerReq, r.ListAllocsCeiling)
+	}
+	return nil
 }
 
 // benchListFroms spreads page queries across the block range (two
@@ -175,14 +175,6 @@ func benchListFroms(res *ServeResult) []int {
 		froms = append(froms, 1+i*maxBlock/n)
 	}
 	return froms
-}
-
-func benchListURLs(res *ServeResult) []string {
-	var urls []string
-	for _, from := range benchListFroms(res) {
-		urls = append(urls, benchListURL(res, from))
-	}
-	return urls
 }
 
 func benchListURL(res *ServeResult, from int) string {
@@ -297,14 +289,11 @@ func allocsPerRequest(h http.Handler, urls []string) float64 {
 	for i := 0; i < 8; i++ {
 		h.ServeHTTP(w, reqs[i%len(reqs)])
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		h.ServeHTTP(w, reqs[i%len(reqs)])
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(n)
+	return allocsPer(n, func() {
+		for i := 0; i < n; i++ {
+			h.ServeHTTP(w, reqs[i%len(reqs)])
+		}
+	})
 }
 
 // loadRound drives total requests at the given concurrency over a real
@@ -360,11 +349,8 @@ func loadRound(h http.Handler, urls []string, total, concurrency int, fig *Serve
 		}
 	}
 
-	var all []time.Duration
-	for _, l := range lats {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	all := slices.Concat(lats...)
+	slices.Sort(all)
 	qps := float64(len(all)) / wall
 	if qps > fig.QPS {
 		fig.Requests = len(all)
